@@ -12,7 +12,9 @@ Algorithm 1 (per component, thresholds γ >= μ):
 
 The *pre graph cleanup* of Section 4.2.1 (drop Token-Overlap-derived
 predictions inside components larger than 50 records) is a plain DataFrame
-filter implemented in :func:`pre_cleanup`.
+filter implemented in :func:`pre_cleanup`. It sizes components with the
+Stage 2 closure labels the pipeline has already computed, so it runs no
+connected-components pass of its own.
 """
 from __future__ import annotations
 
@@ -62,19 +64,21 @@ def cleanup_component(edges: list, gamma: int, mu: int) -> dict:
     return {r: min(comp) for comp in g.components() for r in comp}
 
 
-def pre_cleanup(edges: DataFrame, gamma_pre: int = PRE_CLEANUP_SIZE) -> DataFrame:
+def pre_cleanup(edges: DataFrame, labels: DataFrame,
+                gamma_pre: int = PRE_CLEANUP_SIZE) -> DataFrame:
     """Section 4.2.1: drop edges whose only provenance is the Token Overlap
     blocking when they lie inside a connected component larger than
     ``gamma_pre`` records.
 
     ``edges`` columns: ``src``, ``dst``, ``from_token_overlap`` (boolean).
+    ``labels``: the Stage 2 closure ``(id, group)`` of exactly these edges,
+    as ``run_group_matching`` computes it from the raw predictions.
     Returns the surviving edges with the same columns.
     """
-    labels = components_of_edges(edges)
-    sizes = labels.groupBy("component").agg(F.count("*").alias("comp_size"))
+    sizes = labels.groupBy("group").agg(F.count("*").alias("comp_size"))
     labeled = (
         edges.join(labels.withColumnRenamed("id", "src"), "src")
-        .join(sizes, "component")
+        .join(sizes, "group")
     )
     return labeled.where(
         ~(F.col("from_token_overlap") & (F.col("comp_size") > F.lit(gamma_pre)))

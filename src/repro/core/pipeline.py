@@ -1,8 +1,8 @@
 """End-to-end entity group matching (paper Figure 1 / Section 5.3).
 
     blocking → pairwise prediction (LM surrogate) → connected components
-    (Stage 2: Pre Graph Cleanup closure) → pre-cleanup + Algorithm 1
-    (Stage 3: Post Graph Cleanup) → entity groups
+    (Stage 2: Pre Graph Cleanup closure) → pre-cleanup on the Stage 2
+    components + Algorithm 1 (Stage 3: Post Graph Cleanup) → entity groups
 
 ``run_group_matching`` returns the three stage scores (pairwise / pre / post
 P, R, F1 + Cluster Purity for the group stages) plus the final assignment,
@@ -37,7 +37,7 @@ class StageScores:
     n_candidates: int
     inference_seconds: float
     assignment: DataFrame  # final (id, group) incl. implicit singletons
-    pred_edges: DataFrame  # positively predicted pairs (for sensitivity runs)
+    pred_edges: DataFrame  # Stage 3 input: pre-cleaned predicted pairs
 
 
 def candidate_pairs(kind: str, records: DataFrame,
@@ -115,25 +115,27 @@ def run_group_matching(records: DataFrame, kind: str, model: TrainedModel,
     pre = closure_scores(pre_labels, records)
     pre["purity"] = cluster_purity(pre_labels, records)
 
-    # Stage 3: pre-cleanup + Algorithm 1 (GraLMatch).
+    # Stage 3: pre-cleanup on the Stage 2 components + Algorithm 1.
     if apply_pre_cleanup is None:
         apply_pre_cleanup = kind in ("companies", "products")
-    post, post_labels = post_stage(pred, records, gamma, mu, apply_pre_cleanup)
+    edges = pre_cleanup(pred, pre_labels) if apply_pre_cleanup else pred
+    post, post_labels = post_stage(edges, records, gamma, mu)
 
     return StageScores(
         pairwise=pw, pre_cleanup=pre, post_cleanup=post,
         n_candidates=n_candidates, inference_seconds=inference_seconds,
         assignment=full_assignment(records, post_labels),
-        pred_edges=pred,
+        pred_edges=edges,
     )
 
 
-def post_stage(pred: DataFrame, records: DataFrame, gamma: int, mu: int,
-               apply_pre_cleanup: bool) -> tuple[dict, DataFrame]:
-    """Stage 3 alone, reusable with different (γ, μ) on the same predicted
-    edges — the paper's -MEC / ½γ / -BC sensitivity variants."""
+def post_stage(edges: DataFrame, records: DataFrame, gamma: int,
+               mu: int) -> tuple[dict, DataFrame]:
+    """Stage 3 after pre-cleanup: Algorithm 1 on ``edges``, the pre-cleaned
+    predictions (``StageScores.pred_edges``), plus its scores. Reusable with
+    different (γ, μ) on the same edges — the paper's -MEC / ½γ / -BC
+    sensitivity variants."""
     t0 = time.time()
-    edges = pre_cleanup(pred) if apply_pre_cleanup else pred
     post_labels = materialize(gralmatch(edges, gamma, mu))
     post = closure_scores(post_labels, records)
     post["purity"] = cluster_purity(post_labels, records)

@@ -29,15 +29,9 @@ from repro.matching.features import add_features
 from repro.matching.serialize import add_serialized
 from repro.matching.splits import labeled_pairs, reduced_pairs
 
-#: Curated value order of the plain scheme — most discriminative first, long
-#: free text last (so truncation sheds descriptions, not names/identifiers).
-PLAIN_ORDER = {
-    "companies": ("name", "city", "region", "country_code", "short_description"),
-    "securities": ("name", "isin", "cusip", "valor", "sedol", "sec_type"),
-    "products": ("name", "brand", "category", "price", "description"),
-}
-
-#: Columns serialized per dataset kind.
+#: Columns serialized per dataset kind, in the curated order of the plain
+#: scheme — most discriminative first, long free text last (so truncation
+#: sheds descriptions, not names/identifiers).
 SER_COLS = {
     "companies": ("name", "city", "region", "country_code", "short_description"),
     "securities": ("name", "isin", "cusip", "valor", "sedol", "sec_type"),
@@ -66,10 +60,7 @@ MODELS = {
 def serialized_records(records: DataFrame, kind: str,
                        spec: ModelSpec) -> DataFrame:
     """Records with the spec's truncated serialization column ``ser``."""
-    return add_serialized(
-        records, SER_COLS[kind], spec.scheme, spec.max_len,
-        PLAIN_ORDER[kind],
-    )
+    return add_serialized(records, SER_COLS[kind], spec.scheme, spec.max_len)
 
 
 def featurized(pairs: DataFrame, records_ser: DataFrame) -> DataFrame:

@@ -101,14 +101,14 @@ def serialize_record(values: dict, scheme: str, max_len: int,
 
 
 def add_serialized(records: DataFrame, cols: tuple, scheme: str,
-                   max_len: int, plain_order: tuple,
-                   out: str = "ser") -> DataFrame:
-    """Add a serialized-text column computed from ``cols`` via Arrow UDF."""
+                   max_len: int, out: str = "ser") -> DataFrame:
+    """Add a serialized-text column computed from ``cols``, in that order,
+    via Arrow UDF."""
 
     @pandas_udf("string")
     def ser(s: pd.DataFrame) -> pd.Series:
         return pd.Series([
-            serialize_record(row, scheme, max_len, plain_order)
+            serialize_record(row, scheme, max_len, cols)
             for row in s.to_dict("records")
         ])
 

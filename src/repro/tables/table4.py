@@ -10,7 +10,7 @@ securities pipeline — exactly the paper's setup where securities candidates
 come from "companies previously matched".
 
 The sensitivity variants (Section 5.2.1) run on synthetic companies with
-the DistilBERT-ALL predictions reused:
+the DistilBERT-ALL pre-cleaned predictions reused:
   -MEC: γ = μ (Minimum Edge Cut only), ½γ, and -BC: γ = ∞ (Betweenness only).
 """
 from __future__ import annotations
@@ -77,8 +77,7 @@ def run_table4(datasets: dict, seed: int = 0,
                     "distilbert128_all_halfgamma": (ds.gamma // 2, ds.mu),
                     "distilbert128_all_bc": (10**9, ds.mu),
                 }.items():
-                    post, _ = post_stage(scores.pred_edges, ds.records,
-                                         g, m, apply_pre_cleanup=True)
+                    post, _ = post_stage(scores.pred_edges, ds.records, g, m)
                     rows.append((name, vname, {
                         "pairwise": _row(scores)["pairwise"],
                         "pre": _row(scores)["pre"],

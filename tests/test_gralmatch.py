@@ -1,9 +1,11 @@
 """Tests for GraLMatch Graph Cleanup (Algorithm 1) — driver-side and Spark."""
+import networkx as nx
 import pandas as pd
 import pytest
 
 from repro.core.gralmatch import cleanup_component, gralmatch, pre_cleanup
 from repro.graph.algorithms import Graph
+from repro.graph.connected_components import components_of_edges
 
 
 def _clique(nodes):
@@ -97,27 +99,56 @@ class TestPreCleanup:
         return spark.createDataFrame(pd.DataFrame(
             rows, columns=["src", "dst", "from_token_overlap"]))
 
+    def _run(self, spark, rows, gamma_pre):
+        """pre_cleanup with the Stage 2 labels of the same edges."""
+        edges = self._df(spark, rows)
+        labels = components_of_edges(edges).withColumnRenamed(
+            "component", "group")
+        return pre_cleanup(edges, labels, gamma_pre=gamma_pre)
+
     def test_token_edges_dropped_in_big_component(self, spark):
         # 60-node chain (component > 50) with one token-overlap edge.
         rows = [(i, i + 1, False) for i in range(60)]
         rows[30] = (30, 31, True)
-        out = pre_cleanup(self._df(spark, rows), gamma_pre=50)
+        out = self._run(spark, rows, gamma_pre=50)
         kept = {(r["src"], r["dst"]) for r in out.collect()}
         assert (30, 31) not in kept
         assert len(kept) == 59  # the other 59 chain edges survive
 
     def test_token_edges_kept_in_small_component(self, spark):
         rows = [(1, 2, True), (2, 3, False)]
-        out = pre_cleanup(self._df(spark, rows), gamma_pre=50)
+        out = self._run(spark, rows, gamma_pre=50)
         assert out.count() == 2
 
     def test_id_edges_never_dropped(self, spark):
         rows = [(i, i + 1, False) for i in range(80)]
-        out = pre_cleanup(self._df(spark, rows), gamma_pre=50)
+        out = self._run(spark, rows, gamma_pre=50)
         assert out.count() == 80
 
     def test_threshold_boundary(self, spark):
         # component of exactly gamma_pre records is NOT cleaned.
         rows = [(i, i + 1, True) for i in range(9)]  # 10 nodes
-        out = pre_cleanup(self._df(spark, rows), gamma_pre=10)
+        out = self._run(spark, rows, gamma_pre=10)
         assert out.count() == 9
+
+    def test_networkx_oracle_mixed_components(self, spark):
+        """Components above, at and below ``gamma_pre`` in one call, each
+        with token-overlap and ID edges, against networkx component sizes."""
+        gamma_pre = 12
+        rows = []
+        for base, size in ((0, 20), (100, gamma_pre), (200, 5)):
+            rows += [(base + i, base + i + 1, i % 3 == 0)
+                     for i in range(size - 1)]
+            rows += [(base, base + size - 1, True),  # closes a ring
+                     (base + 1, base + size - 2, False)]
+        g = nx.Graph((u, v) for u, v, _ in rows)
+        size_of = {n: len(c) for c in nx.connected_components(g) for n in c}
+        expected = {(u, v) for u, v, tok in rows
+                    if not (tok and size_of[u] > gamma_pre)}
+        out = self._run(spark, rows, gamma_pre=gamma_pre)
+        got = [(r["src"], r["dst"]) for r in out.collect()]
+        assert len(got) == len(set(got))
+        assert set(got) == expected
+        # Only the 20-record component lost edges.
+        assert {(u, v) for u, v, _ in rows} - expected == {
+            (u, v) for u, v, tok in rows if tok and u < 100}

@@ -20,7 +20,6 @@ class TestRegistry:
 
     def test_ser_cols_cover_kinds(self):
         assert set(M.SER_COLS) == {"companies", "securities", "products"}
-        assert set(M.PLAIN_ORDER) == set(M.SER_COLS)
 
 
 class TestTrainPredict:

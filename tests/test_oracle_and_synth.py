@@ -1,68 +1,40 @@
-"""Oracle sanity checks plus tests of the extended synth_data entry points.
+"""DuckDB oracle sanity checks on the generated company and security tables.
 
-Demonstrates the DuckDB oracle on the provided TPC-H-lite generators and
-validates the GraLMatch-schema wrappers added to ``repro.synth_data``.
+Each check runs the same aggregate in Spark and in DuckDB and asserts the
+rows match, so a broken oracle (or a broken Spark-to-pandas hand-off)
+shows up before the oracle is trusted elsewhere.
 """
-import pytest
+from pyspark.sql import functions as F
 
-from repro import synth_data
 from repro.oracle import assert_equivalent
 
 
-class TestOracleOnTpchLite:
-    def test_lineitem_aggregate(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        from pyspark.sql import functions as F
-        got = li.groupBy("l_returnflag").agg(
-            F.sum("l_quantity").alias("sum_qty"),
+class TestOracleOnGeneratedRecords:
+    def test_source_aggregate(self, companies_df):
+        got = companies_df.groupBy("source_id").agg(
             F.count("*").alias("cnt"),
+            F.countDistinct("gt_group").alias("n_groups"),
+            F.sum(F.col("easy_group").cast("long")).alias("n_easy"),
         )
         assert_equivalent(
             got,
-            """SELECT l_returnflag, SUM(l_quantity) AS sum_qty,
-                      COUNT(*) AS cnt
-               FROM li GROUP BY l_returnflag""",
-            li=li,
+            """SELECT source_id, COUNT(*) AS cnt,
+                      COUNT(DISTINCT gt_group) AS n_groups,
+                      SUM(CAST(easy_group AS BIGINT)) AS n_easy
+               FROM c GROUP BY source_id""",
+            c=companies_df,
         )
 
-    def test_orders_join(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        o = synth_data.orders(spark, sf=0.001)
-        from pyspark.sql import functions as F
-        got = (li.join(o, li.l_orderkey == o.o_orderkey)
-               .groupBy("o_orderpriority")
+    def test_securities_company_join(self, companies_df, securities_df):
+        c = companies_df.select("record_id", F.col("source_id").alias("c_src"))
+        got = (securities_df.join(
+                   c, securities_df.company_record_id == c.record_id)
+               .groupBy("c_src", "sec_type")
                .agg(F.count("*").alias("cnt")))
         assert_equivalent(
             got,
-            """SELECT o_orderpriority, COUNT(*) AS cnt
-               FROM li JOIN o ON l_orderkey = o_orderkey
-               GROUP BY o_orderpriority""",
-            li=li, o=o,
+            """SELECT c.source_id AS c_src, s.sec_type, COUNT(*) AS cnt
+               FROM s JOIN c ON s.company_record_id = c.record_id
+               GROUP BY c.source_id, s.sec_type""",
+            s=securities_df, c=companies_df,
         )
-
-
-class TestSynthDataWrappers:
-    def test_company_records(self, spark):
-        df = synth_data.company_records(spark, n_groups=50)
-        assert df.count() > 50
-        assert "gt_group" in df.columns
-
-    def test_security_records(self, spark):
-        df = synth_data.security_records(spark, n_groups=50)
-        assert {"isin", "cusip", "valor", "sedol"} <= set(df.columns)
-
-    def test_real_preset(self, spark):
-        df = synth_data.company_records(spark, n_groups=50, preset="real")
-        assert df.select("source_id").distinct().count() == 8
-
-    def test_product_records(self, spark):
-        df = synth_data.product_records(spark, n_records=100)
-        assert df.count() == 100
-
-    def test_company_security_consistency(self, spark):
-        c = synth_data.company_records(spark, n_groups=40, seed=9)
-        s = synth_data.security_records(spark, n_groups=40, seed=9)
-        c_ids = {r["record_id"] for r in c.select("record_id").collect()}
-        s_refs = {r["company_record_id"]
-                  for r in s.select("company_record_id").collect()}
-        assert s_refs <= c_ids

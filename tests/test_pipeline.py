@@ -3,9 +3,15 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+import repro.core.gralmatch as gralmatch_mod
+import repro.core.pipeline as pipeline_mod
+from repro.core.gralmatch import pre_cleanup
 from repro.core.pipeline import (candidate_pairs, full_assignment,
-                                 run_group_matching)
+                                 post_stage, run_group_matching)
+from repro.graph.connected_components import components_of_edges
 from repro.matching import model as M
+
+GAMMA, MU = 25, 5
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +23,7 @@ def company_model(companies_df):
 @pytest.fixture(scope="module")
 def company_result(companies_df, securities_df, company_model):
     return run_group_matching(companies_df, "companies", company_model,
-                              gamma=25, mu=5, securities=securities_df)
+                              gamma=GAMMA, mu=MU, securities=securities_df)
 
 
 class TestCandidatePairs:
@@ -69,6 +75,46 @@ class TestFullAssignment:
                                   schema="id long, group long"))
         rows = asg.collect()
         assert all(r["id"] == r["group"] for r in rows)
+
+
+class TestPostStage:
+    def test_labels_once_and_reproduces_run(self, monkeypatch, companies_df,
+                                            company_result):
+        """Stage 3 on the run's pre-cleaned edges labels components once
+        (inside ``gralmatch``) and reproduces the run's post scores."""
+        calls = []
+
+        def counting(edges, *args, **kwargs):
+            calls.append(edges)
+            return components_of_edges(edges, *args, **kwargs)
+
+        for mod in (pipeline_mod, gralmatch_mod):
+            monkeypatch.setattr(mod, "components_of_edges", counting)
+        post, _ = post_stage(company_result.pred_edges, companies_df,
+                             GAMMA, MU)
+        assert len(calls) == 1
+
+        def scores(d):
+            return {k: v for k, v in d.items() if k != "cleanup_seconds"}
+
+        assert scores(post) == scores(company_result.post_cleanup)
+
+
+class TestNoPredictedEdges:
+    def test_every_record_a_singleton(self, spark, companies_df):
+        edges = spark.createDataFrame(
+            [], "src long, dst long, from_token_overlap boolean")
+        labels = components_of_edges(edges).withColumnRenamed(
+            "component", "group")
+        assert labels.count() == 0
+        post, post_labels = post_stage(pre_cleanup(edges, labels),
+                                       companies_df, GAMMA, MU)
+        rows = full_assignment(companies_df, post_labels).collect()
+        assert len(rows) == companies_df.count()
+        assert all(r["id"] == r["group"] for r in rows)
+        assert post["precision"] == 0.0
+        assert post["recall"] == 0.0
+        assert post["purity"] == 1.0
 
 
 class TestEndToEnd:
