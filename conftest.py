@@ -18,8 +18,8 @@ from _session import get_spark  # noqa: E402
 def spark():
     """One local-mode SparkSession for the whole test session."""
     s = get_spark("repro")
-    # One line in the test output that tells whether the cgroup
-    # derivation saw the real limit (README § Spark target).
+    # One line in the test output that tells which memory limit the
+    # driver heap was derived from (README § Spark target).
     print(
         f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
         f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "

@@ -9,35 +9,42 @@ import os
 
 
 def _driver_mem() -> str:
-    """~75% of the container's memory limit, for the Spark driver JVM.
+    """~75% of the memory this process may use, for the Spark driver JVM.
 
-    Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback.
+    Precedence: SPARK_DRIVER_MEM env (explicit override) > 75% of the
+    smaller of the cgroup v2/v1 limit and ``MemTotal`` in /proc/meminfo >
+    2g when neither is readable.
 
     The cgroup read is best-effort: a sandbox's sysfs emulation may not
-    pass the host limit through. An unbounded value (cgroup-v1's ~9.2e18
-    "unlimited" sentinel, or a missing limit) is treated as absent so the
-    JVM is never handed an impossible heap.
+    pass the host limit through, and an unlimited cgroup (v2 "max",
+    v1's ~9.2e18 sentinel) is larger than ``MemTotal``, so the JVM is
+    never handed more heap than the machine has.
     """
     if m := os.environ.get("SPARK_DRIVER_MEM"):
         return m
+    limits = {}
+    try:
+        with open("/proc/meminfo") as f:
+            for line in f:
+                if line.startswith("MemTotal:"):
+                    limits["meminfo:MemTotal"] = int(line.split()[1]) << 10
+    except (OSError, ValueError):
+        pass
     for p in (
         "/sys/fs/cgroup/memory.max",
         "/sys/fs/cgroup/memory/memory.limit_in_bytes",
     ):
         try:
-            raw = open(p).read().strip()
-            if not raw or raw == "max":
-                continue
-            gib = int(raw) / (1 << 30)
-            if not (1 <= gib <= 1024):  # v1 "unlimited" → ~8.6e9 GiB
-                continue
-            os.environ["_SPARK_DRIVER_MEM_SRC"] = f"cgroup:{p}={raw}"
-            return f"{max(1, int(gib * 0.75))}g"
-        except (OSError, ValueError):
+            with open(p) as f:
+                limits[f"cgroup:{p}"] = int(f.read())
+        except (OSError, ValueError):  # absent, or v2 "max"
             continue
-    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
+    if not limits:
+        os.environ["_SPARK_DRIVER_MEM_SRC"] = "default"
+        return "2g"
+    src = min(limits, key=limits.get)
+    os.environ["_SPARK_DRIVER_MEM_SRC"] = f"{src}={limits[src]}"
+    return f"{max(1, int(limits[src] * 0.75) >> 30)}g"
 
 
 # spark.driver.memory is read at JVM launch, not from SparkConf, so it must

@@ -42,8 +42,7 @@ class StageScores:
 
 def candidate_pairs(kind: str, records: DataFrame,
                     securities: DataFrame | None = None,
-                    company_groups: DataFrame | None = None,
-                    n_top: int = 5) -> DataFrame:
+                    company_groups: DataFrame | None = None) -> DataFrame:
     """Table 2 blocking combinations → (src, dst, from_token_overlap).
 
     ``from_token_overlap`` marks pairs found *only* by the Token Overlap
@@ -52,7 +51,7 @@ def candidate_pairs(kind: str, records: DataFrame,
     if kind == "companies":
         ids = id_overlap_companies(records, securities).withColumn(
             "by_id", F.lit(True))
-        toks = token_overlap(records, n_top=n_top).withColumn(
+        toks = token_overlap(records).withColumn(
             "by_tok", F.lit(True))
         both = ids.join(toks, ["src", "dst"], "full").select(
             "src", "dst",
@@ -68,7 +67,7 @@ def candidate_pairs(kind: str, records: DataFrame,
             "from_token_overlap", F.lit(False))
     if kind == "products":
         return token_overlap(
-            records, n_top=n_top, text_cols=("name", "brand")
+            records, text_cols=("name", "brand")
         ).withColumn("from_token_overlap", F.lit(True))
     raise ValueError(f"unknown dataset kind: {kind}")
 
@@ -86,7 +85,6 @@ def run_group_matching(records: DataFrame, kind: str, model: TrainedModel,
                        gamma: int, mu: int,
                        securities: DataFrame | None = None,
                        company_groups: DataFrame | None = None,
-                       n_top: int = 5,
                        apply_pre_cleanup: bool | None = None) -> StageScores:
     """Run the full pipeline on ``records`` and score all three stages.
 
@@ -94,7 +92,7 @@ def run_group_matching(records: DataFrame, kind: str, model: TrainedModel,
     token-overlap-blocked datasets (companies, products), off for
     securities (no Token Overlap blocking there).
     """
-    cands = candidate_pairs(kind, records, securities, company_groups, n_top)
+    cands = candidate_pairs(kind, records, securities, company_groups)
     cands = materialize(cands)
     n_candidates = cands.count()
 

@@ -20,7 +20,6 @@ from dataclasses import replace
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from .artifacts import GenConfig, plan_artifacts
 from .companies import compute_presence, make_entities, render_records
@@ -71,11 +70,6 @@ def synthetic(n_groups: int = 300, seed: int = 7) -> tuple[pd.DataFrame, pd.Data
 def real(n_groups: int = 1500, seed: int = 11) -> tuple[pd.DataFrame, pd.DataFrame]:
     """Real-like companies+securities (paper scale ⇒ n_groups≈1500)."""
     return generate(replace(REAL, n_groups=n_groups, seed=seed))
-
-
-def to_spark(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
-    """Spark-side view of a generated table (Arrow fast path)."""
-    return spark.createDataFrame(pdf)
 
 
 def stats(pdf: pd.DataFrame) -> dict:

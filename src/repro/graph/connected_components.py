@@ -14,6 +14,9 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+#: Round cap; a graph still changing after it raises instead of looping.
+MAX_ROUNDS = 50
+
 
 def materialize(df: DataFrame) -> DataFrame:
     """Eagerly checkpoint ``df`` and drop its inherited plan statistics.
@@ -29,8 +32,7 @@ def materialize(df: DataFrame) -> DataFrame:
     return cp.sparkSession.createDataFrame(cp.rdd, cp.schema)
 
 
-def connected_components(vertices: DataFrame, edges: DataFrame,
-                         max_iter: int = 50) -> DataFrame:
+def connected_components(vertices: DataFrame, edges: DataFrame) -> DataFrame:
     """Label vertices with their connected component.
 
     Parameters
@@ -50,7 +52,7 @@ def connected_components(vertices: DataFrame, edges: DataFrame,
     sym = materialize(sym)
     labels = materialize(labels)
 
-    for _ in range(max_iter):
+    for _ in range(MAX_ROUNDS):
         # Minimum neighbor label per vertex.
         nbr_min = (
             sym.join(labels, sym.dst == labels.id, "inner")
@@ -95,15 +97,16 @@ def connected_components(vertices: DataFrame, edges: DataFrame,
         if changed == 0:
             break
     else:
-        raise RuntimeError(f"connected_components: no fixpoint in {max_iter} rounds")
+        raise RuntimeError(
+            f"connected_components: no fixpoint in {MAX_ROUNDS} rounds")
     return labels
 
 
-def components_of_edges(edges: DataFrame, max_iter: int = 50) -> DataFrame:
+def components_of_edges(edges: DataFrame) -> DataFrame:
     """Components over exactly the vertices that appear in ``edges``."""
     verts = (
         edges.select(F.col("src").alias("id"))
         .union(edges.select(F.col("dst").alias("id")))
         .distinct()
     )
-    return connected_components(verts, edges, max_iter=max_iter)
+    return connected_components(verts, edges)

@@ -60,9 +60,9 @@ def _features_udf():
     return feats
 
 
-def add_features(pairs: DataFrame, records_ser: DataFrame,
-                 out: str = "features_arr") -> DataFrame:
-    """Join serialized records onto (src, dst) pairs and compute features.
+def add_features(pairs: DataFrame, records_ser: DataFrame) -> DataFrame:
+    """Join serialized records onto (src, dst) pairs and compute the
+    ``features_arr`` column.
 
     ``records_ser`` must carry ``record_id`` and ``ser`` (from
     :func:`repro.matching.serialize.add_serialized`).
@@ -78,4 +78,5 @@ def add_features(pairs: DataFrame, records_ser: DataFrame,
                .withColumnRenamed("ser", "ser_dst"), "dst"
         )
     )
-    return joined.withColumn(out, _features_udf()("ser_src", "ser_dst"))
+    return joined.withColumn("features_arr",
+                             _features_udf()("ser_src", "ser_dst"))

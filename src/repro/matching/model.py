@@ -88,8 +88,7 @@ class TrainedModel:
 
 
 def train(records: DataFrame, kind: str, spec: ModelSpec,
-          gt_col: str = "gt_group", seed: int = 0,
-          neg_ratio: int = 5) -> TrainedModel:
+          seed: int = 0) -> TrainedModel:
     """Fine-tune the surrogate on the train split of ``records``.
 
     ``records`` must already carry a ``split`` column (see
@@ -97,7 +96,7 @@ def train(records: DataFrame, kind: str, spec: ModelSpec,
     """
     t0 = time.time()
     records_ser = serialized_records(records, kind, spec)
-    pairs = labeled_pairs(records, "train", neg_ratio, gt_col, seed)
+    pairs = labeled_pairs(records, "train", seed)
     if spec.train_mode == "15k":
         pairs = reduced_pairs(pairs, records)
     train_df = featurized(pairs, records_ser).select("features", "label")
@@ -111,11 +110,11 @@ def train(records: DataFrame, kind: str, spec: ModelSpec,
 
 
 def evaluate_pairs(model: TrainedModel, records: DataFrame, kind: str,
-                   split: str = "test", gt_col: str = "gt_group",
-                   seed: int = 1, neg_ratio: int = 5) -> dict:
-    """Fine-tuning-style evaluation on a split's labeled pairs (Table 3)."""
+                   seed: int = 1) -> dict:
+    """Fine-tuning-style evaluation on the test split's labeled pairs
+    (Table 3)."""
     records_ser = serialized_records(records, kind, model.spec)
-    pairs = labeled_pairs(records, split, neg_ratio, gt_col, seed)
+    pairs = labeled_pairs(records, "test", seed)
     scored = model.predict(pairs.select("src", "dst", "label"), records_ser)
     agg = scored.agg(
         F.sum((F.col("prediction") == 1.0).cast("long")).alias("pp"),

@@ -101,9 +101,9 @@ def serialize_record(values: dict, scheme: str, max_len: int,
 
 
 def add_serialized(records: DataFrame, cols: tuple, scheme: str,
-                   max_len: int, out: str = "ser") -> DataFrame:
-    """Add a serialized-text column computed from ``cols``, in that order,
-    via Arrow UDF."""
+                   max_len: int) -> DataFrame:
+    """Add the serialized-text column ``ser`` computed from ``cols``, in
+    that order, via Arrow UDF."""
 
     @pandas_udf("string")
     def ser(s: pd.DataFrame) -> pd.Series:
@@ -112,4 +112,4 @@ def add_serialized(records: DataFrame, cols: tuple, scheme: str,
             for row in s.to_dict("records")
         ])
 
-    return records.withColumn(out, ser(F.struct(*[F.col(c) for c in cols])))
+    return records.withColumn("ser", ser(F.struct(*[F.col(c) for c in cols])))

@@ -18,22 +18,23 @@ from pyspark.sql import functions as F
 
 from repro.metrics.pairs import canonical_pairs
 
+#: Sampled negatives per positive pair (the paper's 5:1 ratio).
+NEG_RATIO = 5
 
-def add_split(records: DataFrame, gt_col: str = "gt_group",
-              seed: int = 0) -> DataFrame:
+
+def add_split(records: DataFrame, seed: int = 0) -> DataFrame:
     """Add ``split`` in {train, val, test} by hashing the ground-truth group."""
-    bucket = F.pmod(F.xxhash64(F.col(gt_col), F.lit(seed)), F.lit(10))
+    bucket = F.pmod(F.xxhash64(F.col("gt_group"), F.lit(seed)), F.lit(10))
     return records.withColumn(
         "split",
         F.when(bucket < 6, "train").when(bucket < 8, "val").otherwise("test"),
     )
 
 
-def positive_pairs(records: DataFrame, split: str,
-                   gt_col: str = "gt_group") -> DataFrame:
+def positive_pairs(records: DataFrame, split: str) -> DataFrame:
     """All intra-group pairs (src, dst) of one split."""
     recs = records.where(F.col("split") == split).select(
-        "record_id", F.col(gt_col).alias("gt")
+        "record_id", F.col("gt_group").alias("gt")
     )
     a, b = recs.alias("a"), recs.alias("b")
     joined = a.join(b, "gt").where(F.col("a.record_id") < F.col("b.record_id"))
@@ -43,14 +44,14 @@ def positive_pairs(records: DataFrame, split: str,
 
 
 def negative_pairs(records: DataFrame, split: str, n_target: int,
-                   gt_col: str = "gt_group", seed: int = 0) -> DataFrame:
+                   seed: int = 0) -> DataFrame:
     """~``n_target`` random cross-group pairs from one split.
 
     Random bucketing bounds the join fan-out (each bucket holds ~8 records),
     then an ordered limit takes a deterministic sample of the target size.
     """
     recs = records.where(F.col("split") == split).select(
-        "record_id", F.col(gt_col).alias("gt")
+        "record_id", F.col("gt_group").alias("gt")
     )
     n = recs.count()
     # Bucket size b yields ~n*b/2 candidate pairs; size it to cover the
@@ -77,12 +78,12 @@ def negative_pairs(records: DataFrame, split: str, n_target: int,
     )
 
 
-def labeled_pairs(records: DataFrame, split: str, neg_ratio: int = 5,
-                  gt_col: str = "gt_group", seed: int = 0) -> DataFrame:
+def labeled_pairs(records: DataFrame, split: str,
+                  seed: int = 0) -> DataFrame:
     """(src, dst, label) fine-tuning pairs for one split."""
-    pos = positive_pairs(records, split, gt_col)
+    pos = positive_pairs(records, split)
     n_pos = pos.count()
-    neg = negative_pairs(records, split, neg_ratio * n_pos, gt_col, seed)
+    neg = negative_pairs(records, split, NEG_RATIO * n_pos, seed)
     return (
         pos.withColumn("label", F.lit(1.0))
         .unionByName(neg.withColumn("label", F.lit(0.0)))

@@ -33,10 +33,10 @@ def canonical_pairs(pairs: DataFrame, a: str = "src", b: str = "dst") -> DataFra
     )
 
 
-def gt_pair_count(records: DataFrame, gt_col: str = "gt_group") -> int:
+def gt_pair_count(records: DataFrame) -> int:
     """Total ground-truth matches: sum over groups of C(size, 2)."""
     return int(
-        records.groupBy(gt_col)
+        records.groupBy("gt_group")
         .agg(F.count("*").alias("n"))
         .agg(F.coalesce(F.sum(_pairs()), F.lit(0.0)))
         .first()[0]
@@ -47,10 +47,9 @@ def _f1(p: float, r: float) -> float:
     return 0.0 if p + r == 0 else 2 * p * r / (p + r)
 
 
-def pairwise_scores(pred_pairs: DataFrame, records: DataFrame,
-                    gt_col: str = "gt_group") -> dict:
+def pairwise_scores(pred_pairs: DataFrame, records: DataFrame) -> dict:
     """P/R/F1 of predicted pairs against the ground truth grouping."""
-    gt = records.select(F.col("record_id"), F.col(gt_col).alias("gt"))
+    gt = records.select(F.col("record_id"), F.col("gt_group").alias("gt"))
     pairs = canonical_pairs(pred_pairs)
     joined = (
         pairs.join(gt.withColumnRenamed("record_id", "src")
@@ -63,22 +62,22 @@ def pairwise_scores(pred_pairs: DataFrame, records: DataFrame,
         F.sum((F.col("gt_src") == F.col("gt_dst")).cast("long")).alias("tp"),
     ).first()
     total, tp = counts["total"] or 0, counts["tp"] or 0
-    gt_total = gt_pair_count(records, gt_col)
+    gt_total = gt_pair_count(records)
     p = tp / total if total else 0.0
     r = tp / gt_total if gt_total else 0.0
     return {"precision": p, "recall": r, "f1": _f1(p, r),
             "tp": int(tp), "predicted": int(total), "gt_pairs": gt_total}
 
 
-def closure_scores(assignment: DataFrame, records: DataFrame,
-                   gt_col: str = "gt_group") -> dict:
+def closure_scores(assignment: DataFrame, records: DataFrame) -> dict:
     """P/R/F1 of the complete-subgraph closure of a group assignment.
 
     ``assignment``: (id, group) for records that belong to a multi-record
     group; records absent from it count as singletons (no predicted pairs,
     but their ground-truth pairs stay in the recall denominator).
     """
-    gt = records.select(F.col("record_id").alias("id"), F.col(gt_col).alias("gt"))
+    gt = records.select(F.col("record_id").alias("id"),
+                        F.col("gt_group").alias("gt"))
     asg = assignment.join(gt, "id")
     pred_total = int(
         asg.groupBy("group").agg(F.count("*").alias("n"))
@@ -88,7 +87,7 @@ def closure_scores(assignment: DataFrame, records: DataFrame,
         asg.groupBy("group", "gt").agg(F.count("*").alias("n"))
         .agg(F.coalesce(F.sum(_pairs()), F.lit(0.0))).first()[0]
     )
-    gt_total = gt_pair_count(records, gt_col)
+    gt_total = gt_pair_count(records)
     p = tp / pred_total if pred_total else 0.0
     r = tp / gt_total if gt_total else 0.0
     return {"precision": p, "recall": r, "f1": _f1(p, r),

@@ -14,10 +14,10 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 
-def cluster_purity(assignment: DataFrame, records: DataFrame,
-                   gt_col: str = "gt_group") -> float:
+def cluster_purity(assignment: DataFrame, records: DataFrame) -> float:
     """Weighted average per-group pair purity over all records."""
-    gt = records.select(F.col("record_id").alias("id"), F.col(gt_col).alias("gt"))
+    gt = records.select(F.col("record_id").alias("id"),
+                        F.col("gt_group").alias("gt"))
     # Singleton-complete assignment: uncovered records form their own group,
     # keyed by a negative id so it cannot collide with min-record group ids.
     full = gt.join(assignment, "id", "left").select(

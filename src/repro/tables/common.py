@@ -49,17 +49,16 @@ class Dataset:
 
 
 def load_datasets(spark: SparkSession, n_groups_synth: int = 1000,
-                  n_groups_real: int = 1500, n_wdc_records: int = 1000,
-                  seed: int = 0, split_seed: int = 0) -> dict:
+                  n_groups_real: int = 1500,
+                  n_wdc_records: int = 1000) -> dict:
     """Build all five datasets with split columns, checkpointed."""
 
     def prep(pdf) -> DataFrame:
-        df = add_split(spark.createDataFrame(pdf), seed=split_seed)
-        return materialize(df)
+        return materialize(add_split(spark.createDataFrame(pdf)))
 
-    syn_c, syn_s = gen.synthetic(n_groups_synth, seed=7 + seed)
-    real_c, real_s = gen.real(n_groups_real, seed=11 + seed)
-    wdc = wdc_products(n_wdc_records, seed=21 + seed)
+    syn_c, syn_s = gen.synthetic(n_groups_synth, seed=7)
+    real_c, real_s = gen.real(n_groups_real, seed=11)
+    wdc = wdc_products(n_wdc_records, seed=21)
 
     syn_c_df, syn_s_df = prep(syn_c), prep(syn_s)
     real_c_df, real_s_df = prep(real_c), prep(real_s)

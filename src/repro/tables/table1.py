@@ -1,39 +1,13 @@
 """Table 1 — dataset statistics (paper Section 3.3).
 
-Computed with Spark aggregations over the generated record tables; the
-"# of Matches" column is the ground-truth pair count sum(C(n_i, 2)).
+Each record table is collected to the driver and summarized by
+:func:`repro.entitygen.dataset.stats`; the "# of Matches" column is the
+ground-truth pair count sum(C(n_i, 2)).
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-
-from repro.metrics.pairs import gt_pair_count
+from repro.entitygen.dataset import stats
 from repro.tables.common import Dataset
-
-
-def spark_stats(records: DataFrame) -> dict:
-    """Table 1 statistics of one record table, distributed."""
-    n_matches = gt_pair_count(records)
-    base = records.agg(
-        F.countDistinct("source_id").alias("n_sources"),
-        F.countDistinct("gt_group").alias("n_entities"),
-        F.count("*").alias("n_records"),
-    ).first()
-    out = {
-        "n_sources": int(base["n_sources"]),
-        "n_entities": int(base["n_entities"]),
-        "n_records": int(base["n_records"]),
-        "n_matches": n_matches,
-        "avg_matches_per_entity": round(
-            n_matches / max(1, base["n_entities"]), 2),
-    }
-    if "short_description" in records.columns:
-        pct = records.agg(
-            F.avg((F.col("short_description") != "").cast("double"))
-        ).first()[0]
-        out["pct_with_description"] = round(100.0 * (pct or 0.0), 1)
-    return out
 
 
 def run_table1(datasets: dict) -> list:
@@ -42,5 +16,5 @@ def run_table1(datasets: dict) -> list:
     for name in ("real_companies", "synthetic_companies",
                  "real_securities", "synthetic_securities"):
         ds: Dataset = datasets[name]
-        rows.append((name, spark_stats(ds.records)))
+        rows.append((name, stats(ds.records.toPandas())))
     return rows

@@ -1,11 +1,15 @@
 """Smoke + correctness tests for the table harnesses (tiny scale)."""
 import duckdb
 import pytest
+from pyspark.sql import functions as F
 
+from repro.entitygen import dataset as gen
 from repro.tables import paper_numbers
 from repro.tables.common import (DATASET_MODELS, THRESHOLDS, load_datasets,
                                  markdown_table, pct)
-from repro.tables.table1 import run_table1, spark_stats
+from repro.tables.table1 import run_table1
+from repro.tables.table2 import run_table2
+from repro.tables.table3 import run_cell
 
 
 @pytest.fixture(scope="module")
@@ -43,10 +47,9 @@ class TestCommon:
 
 
 class TestTable1:
-    def test_spark_stats_match_duckdb(self, datasets):
-        ds = datasets["synthetic_companies"]
-        got = spark_stats(ds.records)
-        pdf = ds.records.toPandas()
+    def test_stats_match_duckdb(self, datasets):
+        pdf = datasets["synthetic_companies"].records.toPandas()
+        got = gen.stats(pdf)
         exp = duckdb.sql(
             """SELECT COUNT(DISTINCT source_id), COUNT(DISTINCT gt_group),
                       COUNT(*) FROM pdf"""
@@ -65,10 +68,32 @@ class TestTable1:
             "synthetic_securities"]
         for _, stats in rows:
             assert stats["n_records"] > 0
+            assert stats["n_matches"] > 0
 
-    def test_securities_lack_description_stat(self, datasets):
-        stats = spark_stats(datasets["synthetic_securities"].records)
-        assert "pct_with_description" not in stats
+
+class TestTable2:
+    def test_every_dataset_has_candidates(self, datasets):
+        # Issuer Match on ground-truth company groups, so blocking is
+        # checked without training a company model first.
+        gt_groups = {
+            name: datasets[comp].records.select(
+                F.col("record_id").alias("id"),
+                F.col("gt_group").alias("group"))
+            for name, comp in (("real_securities", "real_companies"),
+                               ("synthetic_securities", "synthetic_companies"))
+        }
+        rows = run_table2(datasets, gt_groups)
+        assert len(rows) == 5
+        for name, _, _, n_cand, _, _ in rows:
+            assert n_cand > 0, name
+
+
+class TestTable3:
+    @pytest.mark.parametrize("name", ["synthetic_companies",
+                                      "synthetic_securities"])
+    def test_distilbert_all_cell(self, datasets, name):
+        cell = run_cell(datasets[name], "distilbert128_all", seeds=(0,))
+        assert cell["f1"] > 50.0
 
 
 class TestPaperNumbers:
