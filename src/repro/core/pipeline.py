@@ -19,9 +19,9 @@ from pyspark.sql import functions as F
 from repro.blocking.id_overlap import id_overlap_companies, id_overlap_securities
 from repro.blocking.issuer_match import issuer_match
 from repro.blocking.token_overlap import token_overlap
+from repro.checkpoint import materialize
 from repro.core.gralmatch import gralmatch, pre_cleanup
-from repro.graph.connected_components import (components_of_edges,
-                                               materialize)
+from repro.graph.connected_components import components_of_edges
 from repro.matching.model import TrainedModel, serialized_records
 from repro.metrics.pairs import closure_scores, pairwise_scores
 from repro.metrics.purity import cluster_purity
@@ -96,14 +96,14 @@ def run_group_matching(records: DataFrame, kind: str, model: TrainedModel,
     cands = materialize(cands)
     n_candidates = cands.count()
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     ser = serialized_records(records, kind, model.spec)
     scored = model.predict(cands, ser)
     pred = scored.where(F.col("prediction") == 1.0).select(
         "src", "dst", "from_token_overlap"
     )
     pred = materialize(pred)
-    inference_seconds = time.time() - t0
+    inference_seconds = time.perf_counter() - t0
 
     pw = pairwise_scores(pred, records)
 
@@ -133,9 +133,9 @@ def post_stage(edges: DataFrame, records: DataFrame, gamma: int,
     predictions (``StageScores.pred_edges``), plus its scores. Reusable with
     different (γ, μ) on the same edges — the paper's -MEC / ½γ / -BC
     sensitivity variants."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     post_labels = materialize(gralmatch(edges, gamma, mu))
     post = closure_scores(post_labels, records)
     post["purity"] = cluster_purity(post_labels, records)
-    post["cleanup_seconds"] = time.time() - t0
+    post["cleanup_seconds"] = time.perf_counter() - t0
     return post, post_labels

@@ -6,30 +6,23 @@ neighbors; convergence (no label change) is reached after O(diameter)
 rounds. Components in entity-matching graphs are shallow (records chained
 across a handful of sources), so the round count stays small.
 
-``localCheckpoint`` truncates the join lineage each round — without it the
-plan grows exponentially and Catalyst analysis dominates runtime.
+Each round ``materialize``s its labels (``repro.checkpoint``): the
+checkpoint truncates the join lineage — without it the plan grows
+exponentially and Catalyst analysis dominates runtime — and the rebuild
+resets the compounding size estimate. The rebuild stays in the JVM, so the
+several scans of ``sym`` and ``labels`` per round read the checkpoint
+directly instead of through Python workers. ``materialize`` is still
+importable from here.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.checkpoint import materialize
+
 #: Round cap; a graph still changing after it raises instead of looping.
 MAX_ROUNDS = 50
-
-
-def materialize(df: DataFrame) -> DataFrame:
-    """Eagerly checkpoint ``df`` and drop its inherited plan statistics.
-
-    ``localCheckpoint`` truncates lineage but *preserves* the origin plan's
-    Catalyst statistics. Join size estimates are multiplicative, so in an
-    iterative join loop (connected components) the preserved sizeInBytes
-    compounds — the self-join squares it every round — until Catalyst spends
-    minutes multiplying million-digit BigIntegers during planning. Rebuilding
-    the Dataset over the checkpointed RDD resets the estimate to the default.
-    """
-    cp = df.localCheckpoint(eager=True)
-    return cp.sparkSession.createDataFrame(cp.rdd, cp.schema)
 
 
 def connected_components(vertices: DataFrame, edges: DataFrame) -> DataFrame:

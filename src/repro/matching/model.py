@@ -94,7 +94,7 @@ def train(records: DataFrame, kind: str, spec: ModelSpec,
     ``records`` must already carry a ``split`` column (see
     :func:`repro.matching.splits.add_split`).
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     records_ser = serialized_records(records, kind, spec)
     pairs = labeled_pairs(records, "train", seed)
     if spec.train_mode == "15k":
@@ -106,7 +106,8 @@ def train(records: DataFrame, kind: str, spec: ModelSpec,
     # trade-off between -15K and -ALL.
     lr = LogisticRegression(maxIter=100, regParam=0.05)
     model = lr.fit(train_df)
-    return TrainedModel(spec=spec, lr=model, train_seconds=time.time() - t0)
+    return TrainedModel(spec=spec, lr=model,
+                        train_seconds=time.perf_counter() - t0)
 
 
 def evaluate_pairs(model: TrainedModel, records: DataFrame, kind: str,

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.checkpoint import materialize
 from repro.entitygen import dataset as gen
 from repro.entitygen.wdc import wdc_products
-from repro.graph.connected_components import materialize
 from repro.matching.splits import add_split
 
 #: Paper Table 2 thresholds per dataset.

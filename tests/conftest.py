@@ -7,6 +7,7 @@ share one small generation instead of rebuilding per test.
 import numpy as np
 import pytest
 
+from repro.checkpoint import materialize
 from repro.entitygen import dataset as gen
 from repro.entitygen.artifacts import GenConfig, plan_artifacts
 from repro.entitygen.wdc import wdc_products
@@ -41,12 +42,12 @@ def securities_pdf(tiny_pdfs):
 
 @pytest.fixture(scope="session")
 def companies_df(spark, companies_pdf):
-    return add_split(spark.createDataFrame(companies_pdf)).localCheckpoint()
+    return materialize(add_split(spark.createDataFrame(companies_pdf)))
 
 
 @pytest.fixture(scope="session")
 def securities_df(spark, securities_pdf):
-    return add_split(spark.createDataFrame(securities_pdf)).localCheckpoint()
+    return materialize(add_split(spark.createDataFrame(securities_pdf)))
 
 
 @pytest.fixture(scope="session")
@@ -56,7 +57,7 @@ def wdc_pdf():
 
 @pytest.fixture(scope="session")
 def wdc_df(spark, wdc_pdf):
-    return add_split(spark.createDataFrame(wdc_pdf)).localCheckpoint()
+    return materialize(add_split(spark.createDataFrame(wdc_pdf)))
 
 
 @pytest.fixture(scope="session")
@@ -64,4 +65,4 @@ def gt_company_groups(spark, companies_pdf):
     """Ground-truth company assignment (id, group) for issuer-match tests."""
     pdf = companies_pdf[["record_id", "gt_group"]].rename(
         columns={"record_id": "id", "gt_group": "group"})
-    return spark.createDataFrame(pdf).localCheckpoint()
+    return materialize(spark.createDataFrame(pdf))
