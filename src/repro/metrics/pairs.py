@@ -9,11 +9,17 @@ one groupBy, not |V|^2 rows.
 
 Recall denominators use the full ground-truth pair count of the evaluated
 records (paper Section 5.3.2: blocking losses show up as lower recall).
+
+The aggregates of one score do not read each other, so they run
+concurrently (``repro.parallel``).
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+
+from repro.parallel import concurrently
+
 
 def _pairs():
     # Built lazily — a module-level Column would need an active SparkContext
@@ -57,12 +63,15 @@ def pairwise_scores(pred_pairs: DataFrame, records: DataFrame) -> dict:
         .join(gt.withColumnRenamed("record_id", "dst")
                 .withColumnRenamed("gt", "gt_dst"), "dst")
     )
-    counts = joined.agg(
-        F.count("*").alias("total"),
-        F.sum((F.col("gt_src") == F.col("gt_dst")).cast("long")).alias("tp"),
-    ).first()
+    counts, gt_total = concurrently(
+        lambda: joined.agg(
+            F.count("*").alias("total"),
+            F.sum((F.col("gt_src") == F.col("gt_dst")).cast("long"))
+            .alias("tp"),
+        ).first(),
+        lambda: gt_pair_count(records),
+    )
     total, tp = counts["total"] or 0, counts["tp"] or 0
-    gt_total = gt_pair_count(records)
     p = tp / total if total else 0.0
     r = tp / gt_total if gt_total else 0.0
     return {"precision": p, "recall": r, "f1": _f1(p, r),
@@ -79,15 +88,18 @@ def closure_scores(assignment: DataFrame, records: DataFrame) -> dict:
     gt = records.select(F.col("record_id").alias("id"),
                         F.col("gt_group").alias("gt"))
     asg = assignment.join(gt, "id")
-    pred_total = int(
-        asg.groupBy("group").agg(F.count("*").alias("n"))
-        .agg(F.coalesce(F.sum(_pairs()), F.lit(0.0))).first()[0]
+
+    def pair_count(*keys: str) -> int:
+        return int(
+            asg.groupBy(*keys).agg(F.count("*").alias("n"))
+            .agg(F.coalesce(F.sum(_pairs()), F.lit(0.0))).first()[0]
+        )
+
+    pred_total, tp, gt_total = concurrently(
+        lambda: pair_count("group"),
+        lambda: pair_count("group", "gt"),
+        lambda: gt_pair_count(records),
     )
-    tp = int(
-        asg.groupBy("group", "gt").agg(F.count("*").alias("n"))
-        .agg(F.coalesce(F.sum(_pairs()), F.lit(0.0))).first()[0]
-    )
-    gt_total = gt_pair_count(records)
     p = tp / pred_total if pred_total else 0.0
     r = tp / gt_total if gt_total else 0.0
     return {"precision": p, "recall": r, "f1": _f1(p, r),

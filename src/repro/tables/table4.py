@@ -12,11 +12,17 @@ come from "companies previously matched".
 The sensitivity variants (Section 5.2.1) run on synthetic companies with
 the DistilBERT-ALL pre-cleaned predictions reused:
   -MEC: γ = μ (Minimum Edge Cut only), ½γ, and -BC: γ = ∞ (Betweenness only).
+The three read the same edges and nothing of each other, so they run
+concurrently; each variant's ``cleanup_seconds`` is a wall time shared with
+the other two.
 """
 from __future__ import annotations
 
+from functools import partial
+
 from repro.core.pipeline import StageScores, post_stage, run_group_matching
 from repro.matching import model as M
+from repro.parallel import concurrently
 from repro.tables.common import DATASET_MODELS, Dataset, pct
 
 _COMPANION = {"real_securities": "real_companies",
@@ -72,12 +78,15 @@ def run_table4(datasets: dict, seed: int = 0,
             # Sensitivity variants reuse the ALL model's predictions.
             if (with_sensitivity and name == "synthetic_companies"
                     and model_key == "distilbert128_all"):
-                for vname, (g, m) in {
+                variants = {
                     "distilbert128_all_mec": (ds.mu, ds.mu),
                     "distilbert128_all_halfgamma": (ds.gamma // 2, ds.mu),
                     "distilbert128_all_bc": (10**9, ds.mu),
-                }.items():
-                    post, _ = post_stage(scores.pred_edges, ds.records, g, m)
+                }
+                posts = concurrently(*(
+                    partial(post_stage, scores.pred_edges, ds.records, g, m)
+                    for g, m in variants.values()))
+                for vname, (post, _) in zip(variants, posts):
                     rows.append((name, vname, {
                         "pairwise": _row(scores)["pairwise"],
                         "pre": _row(scores)["pre"],

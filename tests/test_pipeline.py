@@ -1,15 +1,21 @@
 """Integration tests for the end-to-end entity group matching pipeline."""
+import time
+
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 import repro.core.gralmatch as gralmatch_mod
 import repro.core.pipeline as pipeline_mod
-from repro.core.gralmatch import pre_cleanup
+from repro.checkpoint import materialize
+from repro.core.gralmatch import gralmatch, pre_cleanup
 from repro.core.pipeline import (candidate_pairs, full_assignment,
-                                 post_stage, run_group_matching)
+                                 post_stage, run_group_matching,
+                                 serialized_records)
 from repro.graph.connected_components import components_of_edges
 from repro.matching import model as M
+from repro.metrics.pairs import closure_scores, pairwise_scores
+from repro.metrics.purity import cluster_purity
 
 GAMMA, MU = 25, 5
 
@@ -196,3 +202,107 @@ class TestEndToEnd:
                         seed=0)
         res = run_group_matching(wdc_df, "products", model, gamma=25, mu=5)
         assert res.post_cleanup["recall"] < res.pre_cleanup["recall"]
+
+
+_GROUP = "spark.jobGroup.id"
+
+
+def _mark(sc, name: str) -> int:
+    """Id of a one-task marker job run in a job group of its own, read once
+    the status store has recorded it (and so every earlier job)."""
+    sc.setLocalProperty(_GROUP, name)
+    try:
+        sc.parallelize([0], 1).count()
+    finally:
+        sc.setLocalProperty(_GROUP, None)
+    tracker = sc.statusTracker()
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        ids = tracker.getJobIdsForGroup(name)
+        if ids and tracker.getJobInfo(ids[0]).status == "SUCCEEDED":
+            return ids[0]
+        time.sleep(0.01)
+    raise RuntimeError(f"marker {name} not recorded")
+
+
+def _sequential(records, kind, model, pre, **inputs):
+    """The pipeline as one public function after another, each output
+    forced before the next starts."""
+    cands = materialize(candidate_pairs(kind, records, **inputs))
+    n_candidates = cands.count()
+    ser = serialized_records(records, kind, model.spec)
+    pred = materialize(model.predict(cands, ser).where(
+        F.col("prediction") == 1.0).select("src", "dst",
+                                            "from_token_overlap"))
+    pairwise = pairwise_scores(pred, records)
+    pre_labels = components_of_edges(pred).withColumnRenamed(
+        "component", "group")
+    pre_scores = closure_scores(pre_labels, records)
+    pre_scores["purity"] = cluster_purity(pre_labels, records)
+    edges = pre_cleanup(pred, pre_labels) if pre else pred
+    post_labels = materialize(gralmatch(edges, GAMMA, MU))
+    post = closure_scores(post_labels, records)
+    post["purity"] = cluster_purity(post_labels, records)
+    return {"pairwise": pairwise, "pre": pre_scores, "post": post,
+            "n_candidates": n_candidates, "edges": edges,
+            "assignment": full_assignment(records, post_labels)}
+
+
+def _rows(df) -> list:
+    return sorted(tuple(r) for r in df.collect())
+
+
+@pytest.fixture(scope="module", params=[
+    ("companies", True), ("companies", False), ("securities", False)],
+    ids=["companies_pre", "companies_nopre", "securities"])
+def concurrent_run(request, spark, companies_df, securities_df,
+                   gt_company_groups, company_model):
+    """One ``run_group_matching`` call and its assignment collect, run in a
+    job group between two marker jobs, plus the sequential reference."""
+    kind, pre = request.param
+    if kind == "companies":
+        records, model = companies_df, company_model
+        inputs = {"securities": securities_df}
+    else:
+        records = securities_df
+        model = M.train(securities_df, "securities",
+                        M.MODELS["distilbert128_all"], seed=0)
+        inputs = {"company_groups": gt_company_groups}
+    sc = spark.sparkContext
+    group = f"test-pipeline-{request.param_index}"
+    first = _mark(sc, f"{group}-before")
+    sc.setLocalProperty(_GROUP, group)
+    try:
+        res = run_group_matching(records, kind, model, GAMMA, MU,
+                                 apply_pre_cleanup=pre, **inputs)
+        assignment = _rows(res.assignment)
+    finally:
+        sc.setLocalProperty(_GROUP, None)
+    last = _mark(sc, f"{group}-after")
+    group_ids = sorted(sc.statusTracker().getJobIdsForGroup(group))
+    ref = _sequential(records, kind, model, pre, **inputs)
+    return {"res": res, "assignment": assignment, "ref": ref,
+            "between": list(range(first + 1, last)), "group_ids": group_ids}
+
+
+class TestConcurrentBranches:
+    def test_every_job_in_callers_group(self, concurrent_run):
+        """The rule the benchmark's job count checks: the jobs run between
+        the markers are exactly the jobs of the caller's group."""
+        assert concurrent_run["group_ids"] == concurrent_run["between"]
+        assert len(concurrent_run["between"]) > 50
+
+    def test_equals_sequential_composition(self, concurrent_run):
+        res, ref = concurrent_run["res"], concurrent_run["ref"]
+
+        def untimed(d):
+            return {k: v for k, v in d.items() if k != "cleanup_seconds"}
+
+        assert res.pairwise == ref["pairwise"]
+        assert res.pre_cleanup == ref["pre"]
+        assert untimed(res.post_cleanup) == untimed(ref["post"])
+        assert set(res.post_cleanup) - set(ref["post"]) == {
+            "cleanup_seconds"}
+        assert res.n_candidates == ref["n_candidates"]
+        assert _rows(res.pred_edges) == _rows(ref["edges"])
+        assert concurrent_run["assignment"] == _rows(ref["assignment"])
