@@ -3,24 +3,27 @@
 The cleanup operates independently per connected component of the
 prediction graph, so it parallelizes over components: edges are labeled
 with their component (DataFrame-API connected components), grouped by
-component, and Algorithm 1 runs inside ``applyInPandas`` on each group.
+component, and one ``applyInPandas`` task per component runs the whole of
+Stage 3 on it.
 
-Algorithm 1 (per component, thresholds γ >= μ):
+The *pre graph cleanup* of Section 4.2.1 (drop Token-Overlap-derived
+predictions inside components larger than 50 records) is a rule on those
+same components, so it runs in the same task, before Algorithm 1:
 
+    if component > gamma_pre: drop its Token-Overlap edges
     while largest sub-component > γ: remove a Minimum Edge Cut of it
     while largest sub-component > μ: remove its max-Betweenness edge
 
-The *pre graph cleanup* of Section 4.2.1 (drop Token-Overlap-derived
-predictions inside components larger than 50 records) is a plain DataFrame
-filter implemented in :func:`pre_cleanup`. It sizes components with the
-Stage 2 closure labels the pipeline has already computed, so it runs no
-connected-components pass of its own.
+Dropping edges only splits a component, and Algorithm 1 never reads one
+piece while cutting another. Algorithm 1 reads its edges in sorted order,
+so the groups depend only on the edge set, not on the order rows arrive in
+after a shuffle, and a piece is cut the same way whether it runs alone or
+next to the other pieces of its component.
 """
 from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.graph.algorithms import Graph, edge_betweenness, min_edge_cut
 from repro.graph.connected_components import components_of_edges
@@ -34,8 +37,10 @@ def cleanup_component(edges: list, gamma: int, mu: int) -> dict:
 
     Returns ``{record: final_group}`` where the group id is the minimum
     record id of the final sub-component (stable and globally unique).
+    The result depends only on the set of undirected edges: the graph is
+    built from them in sorted order, which fixes every tie-break.
     """
-    g = Graph(edges)
+    g = Graph(sorted({(min(u, v), max(u, v)) for u, v in edges}))
 
     def largest(min_size: int) -> set | None:
         comps = g.components()
@@ -64,45 +69,34 @@ def cleanup_component(edges: list, gamma: int, mu: int) -> dict:
     return {r: min(comp) for comp in g.components() for r in comp}
 
 
-def pre_cleanup(edges: DataFrame, labels: DataFrame,
-                gamma_pre: int = PRE_CLEANUP_SIZE) -> DataFrame:
-    """Section 4.2.1: drop edges whose only provenance is the Token Overlap
-    blocking when they lie inside a connected component larger than
-    ``gamma_pre`` records.
-
-    ``edges`` columns: ``src``, ``dst``, ``from_token_overlap`` (boolean).
-    ``labels``: the Stage 2 closure ``(id, group)`` of exactly these edges,
-    as ``run_group_matching`` computes it from the raw predictions.
-    Returns the surviving edges with the same columns.
-    """
-    sizes = labels.groupBy("group").agg(F.count("*").alias("comp_size"))
-    labeled = (
-        edges.join(labels.withColumnRenamed("id", "src"), "src")
-        .join(sizes, "group")
-    )
-    return labeled.where(
-        ~(F.col("from_token_overlap") & (F.col("comp_size") > F.lit(gamma_pre)))
-    ).select("src", "dst", "from_token_overlap")
-
-
-def gralmatch(edges: DataFrame, gamma: int, mu: int) -> DataFrame:
-    """Distributed GraLMatch Graph Cleanup.
+def gralmatch(edges: DataFrame, gamma: int, mu: int,
+              gamma_pre: int | None = None) -> DataFrame:
+    """Distributed GraLMatch Graph Cleanup: Stage 3 of the pipeline.
 
     ``edges``: DataFrame with ``src``, ``dst`` (undirected predicted
-    matches). Returns the final group assignment ``(id, group)`` for every
-    record that appears in an edge. Records not present are implicit
-    singleton groups (callers handle them with a left join).
+    matches), and ``from_token_overlap`` (boolean) when ``gamma_pre`` is
+    set. Returns the final group assignment ``(id, group)`` for every
+    record that keeps an edge. Records not present are implicit singleton
+    groups (callers handle them with a left join).
+
+    With ``gamma_pre`` set, each component of more than ``gamma_pre``
+    records first drops its Token-Overlap edges (Section 4.2.1, the paper
+    uses ``PRE_CLEANUP_SIZE``); ``None`` skips the pre-cleanup.
 
     Setting ``gamma == mu`` yields the paper's -MEC variant (Minimum Edge
     Cut only); ``gamma`` larger than any component yields -BC (Betweenness
     only).
     """
+    pre = gamma_pre is not None
+    cols = ["src", "dst"] + (["from_token_overlap"] if pre else [])
     labels = components_of_edges(edges)
     labeled = edges.join(
         labels.withColumnRenamed("id", "src"), "src"
-    ).select("src", "dst", "component")
+    ).select(*cols, "component")
 
     def run(pdf: pd.DataFrame) -> pd.DataFrame:
+        if pre and len(set(pdf["src"]) | set(pdf["dst"])) > gamma_pre:
+            pdf = pdf[~pdf["from_token_overlap"]]
         edge_list = list(zip(pdf["src"].tolist(), pdf["dst"].tolist()))
         groups = cleanup_component(edge_list, gamma, mu)
         return pd.DataFrame(

@@ -1,8 +1,8 @@
 """End-to-end entity group matching (paper Figure 1 / Section 5.3).
 
     blocking → pairwise prediction (LM surrogate) → connected components
-    (Stage 2: Pre Graph Cleanup closure) → pre-cleanup on the Stage 2
-    components + Algorithm 1 (Stage 3: Post Graph Cleanup) → entity groups
+    (Stage 2: Pre Graph Cleanup closure) → per component, pre-cleanup +
+    Algorithm 1 (Stage 3: Post Graph Cleanup) → entity groups
 
 ``run_group_matching`` returns the three stage scores (pairwise / pre / post
 P, R, F1 + Cluster Purity for the group stages) plus the final assignment,
@@ -20,7 +20,7 @@ from repro.blocking.id_overlap import id_overlap_companies, id_overlap_securitie
 from repro.blocking.issuer_match import issuer_match
 from repro.blocking.token_overlap import token_overlap
 from repro.checkpoint import materialize
-from repro.core.gralmatch import gralmatch, pre_cleanup
+from repro.core.gralmatch import PRE_CLEANUP_SIZE, gralmatch
 from repro.graph.connected_components import components_of_edges
 from repro.matching.model import TrainedModel, serialized_records
 from repro.metrics.pairs import closure_scores, pairwise_scores
@@ -45,7 +45,7 @@ class StageScores:
     n_candidates: int
     inference_seconds: float
     assignment: DataFrame  # final (id, group) incl. implicit singletons
-    pred_edges: DataFrame  # Stage 3 input: pre-cleaned predicted pairs
+    pred_edges: DataFrame  # Stage 3 input: the raw positive predictions
 
 
 def candidate_pairs(kind: str, records: DataFrame,
@@ -98,16 +98,18 @@ def run_group_matching(records: DataFrame, kind: str, model: TrainedModel,
 
     ``apply_pre_cleanup`` defaults to the paper's choice: on for the
     token-overlap-blocked datasets (companies, products), off for
-    securities (no Token Overlap blocking there).
+    securities (no Token Overlap blocking there). It is applied inside
+    Stage 3 (``gralmatch``), per component.
 
     Branches that do not read each other's output run concurrently
     (``repro.parallel``): the candidate count alongside scoring, then the
-    pairwise scores, Stage 2 and Stage 3 once the predictions exist. Without
-    pre-cleanup Stage 3 starts on the raw predictions at once; with it,
-    Stage 3 waits for the Stage 2 labels but not for the Stage 2 scores.
+    pairwise scores, Stage 2 and Stage 3 once the predictions exist. Stage 2
+    and Stage 3 each label the components of the predictions themselves,
+    so neither waits for the other.
     """
     if apply_pre_cleanup is None:
         apply_pre_cleanup = kind in ("companies", "products")
+    gamma_pre = PRE_CLEANUP_SIZE if apply_pre_cleanup else None
     cands = materialize(candidate_pairs(kind, records, securities,
                                         company_groups))
 
@@ -122,33 +124,21 @@ def run_group_matching(records: DataFrame, kind: str, model: TrainedModel,
     n_candidates, (pred, inference_seconds) = concurrently(cands.count,
                                                            predict)
 
-    def closure_labels() -> DataFrame:
+    def stage2() -> dict:
         """Stage 2: transitive closure of the raw predictions."""
-        return components_of_edges(pred).withColumnRenamed("component",
-                                                           "group")
+        labels = components_of_edges(pred).withColumnRenamed("component",
+                                                             "group")
+        return group_scores(labels, records)
 
-    def stages() -> tuple:
-        # Pre-cleanup sizes components by the Stage 2 labels, so with it
-        # Stage 3 starts once they exist; without it, at once.
-        labels = closure_labels() if apply_pre_cleanup else None
-        edges = pre_cleanup(pred, labels) if apply_pre_cleanup else pred
-
-        def stage2() -> dict:
-            return group_scores(
-                closure_labels() if labels is None else labels, records)
-
-        pre, (post, post_labels) = concurrently(
-            stage2, lambda: post_stage(edges, records, gamma, mu))
-        return edges, pre, post, post_labels
-
-    pw, (edges, pre, post, post_labels) = concurrently(
-        lambda: pairwise_scores(pred, records), stages)
+    pw, pre, (post, post_labels) = concurrently(
+        lambda: pairwise_scores(pred, records), stage2,
+        lambda: post_stage(pred, records, gamma, mu, gamma_pre))
 
     return StageScores(
         pairwise=pw, pre_cleanup=pre, post_cleanup=post,
         n_candidates=n_candidates, inference_seconds=inference_seconds,
         assignment=full_assignment(records, post_labels),
-        pred_edges=edges,
+        pred_edges=pred,
     )
 
 
@@ -160,14 +150,14 @@ def group_scores(labels: DataFrame, records: DataFrame) -> dict:
     return {**scores, "purity": purity}
 
 
-def post_stage(edges: DataFrame, records: DataFrame, gamma: int,
-               mu: int) -> tuple[dict, DataFrame]:
-    """Stage 3 after pre-cleanup: Algorithm 1 on ``edges``, the pre-cleaned
-    predictions (``StageScores.pred_edges``), plus its scores. Reusable with
-    different (γ, μ) on the same edges — the paper's -MEC / ½γ / -BC
-    sensitivity variants."""
+def post_stage(edges: DataFrame, records: DataFrame, gamma: int, mu: int,
+               gamma_pre: int | None = None) -> tuple[dict, DataFrame]:
+    """Stage 3: ``gralmatch`` on ``edges``, the raw predictions
+    (``StageScores.pred_edges``), with the pre-cleanup when ``gamma_pre``
+    is set, plus its scores. Reusable with different (γ, μ) on the same
+    edges — the paper's -MEC / ½γ / -BC sensitivity variants."""
     t0 = time.perf_counter()
-    post_labels = materialize(gralmatch(edges, gamma, mu))
+    post_labels = materialize(gralmatch(edges, gamma, mu, gamma_pre))
     post = group_scores(post_labels, records)
     post["cleanup_seconds"] = time.perf_counter() - t0
     return post, post_labels

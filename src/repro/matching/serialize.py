@@ -76,14 +76,13 @@ def _pieces(word: str, scheme: str) -> list:
 
 
 def serialize_record(values: dict, scheme: str, max_len: int,
-                     plain_order: tuple) -> str:
-    """Serialize one record to its truncated subword-piece string."""
+                     cols: tuple) -> str:
+    """Serialize the ``cols`` of one record, in that order, to its truncated
+    subword-piece string."""
     pieces: list = []
     budget = max_len // 2  # pair encoding: half the budget per record
     # Both schemes serialize in table column order (real DITTO wraps the
     # source table's columns in order; the plain order is curated).
-    cols = [c for c in plain_order if c in values]
-    cols += [c for c in sorted(values.keys()) if c not in plain_order]
     for c in cols:
         v = str(values.get(c) or "")
         if not v:

@@ -10,7 +10,7 @@ securities pipeline — exactly the paper's setup where securities candidates
 come from "companies previously matched".
 
 The sensitivity variants (Section 5.2.1) run on synthetic companies with
-the DistilBERT-ALL pre-cleaned predictions reused:
+the DistilBERT-ALL predictions reused, pre-cleanup included:
   -MEC: γ = μ (Minimum Edge Cut only), ½γ, and -BC: γ = ∞ (Betweenness only).
 The three read the same edges and nothing of each other, so they run
 concurrently; each variant's ``cleanup_seconds`` is a wall time shared with
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from functools import partial
 
+from repro.core.gralmatch import PRE_CLEANUP_SIZE
 from repro.core.pipeline import StageScores, post_stage, run_group_matching
 from repro.matching import model as M
 from repro.parallel import concurrently
@@ -84,7 +85,8 @@ def run_table4(datasets: dict, seed: int = 0,
                     "distilbert128_all_bc": (10**9, ds.mu),
                 }
                 posts = concurrently(*(
-                    partial(post_stage, scores.pred_edges, ds.records, g, m)
+                    partial(post_stage, scores.pred_edges, ds.records, g, m,
+                            PRE_CLEANUP_SIZE)
                     for g, m in variants.values()))
                 for vname, (post, _) in zip(variants, posts):
                     rows.append((name, vname, {

@@ -1,16 +1,47 @@
 """Tests for GraLMatch Graph Cleanup (Algorithm 1) — driver-side and Spark."""
+import random
+from pathlib import Path
+
 import networkx as nx
 import pandas as pd
-import pytest
 
-from repro.core.gralmatch import cleanup_component, gralmatch, pre_cleanup
-from repro.graph.algorithms import Graph
-from repro.graph.connected_components import components_of_edges
+from repro.core.gralmatch import cleanup_component, gralmatch
+
+#: Above every component size in these tests: Algorithm 1 cuts nothing.
+NO_CUT = 10**6
 
 
 def _clique(nodes):
     nodes = list(nodes)
     return [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+
+
+def _shuffled(edges, rng):
+    """``edges`` in a random order, each pair in a random orientation."""
+    out = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    rng.shuffle(out)
+    return out
+
+
+def _tied_graph(seed):
+    """Components full of ties: a 30-cycle, a 6x6 grid and a ring of five
+    4-cliques, on node ids drawn at random so ties are broken by ids in no
+    particular layout."""
+    g = nx.disjoint_union_all([
+        nx.cycle_graph(30), nx.grid_2d_graph(6, 6),
+        nx.ring_of_cliques(5, 4)])
+    ids = random.Random(seed).sample(range(10_000), g.number_of_nodes())
+    return [(ids[u], ids[v]) for u, v in g.edges()]
+
+
+def _groups_by_piece(edges, gamma, mu):
+    """``cleanup_component`` run on each connected piece of ``edges`` on
+    its own."""
+    out = {}
+    for piece in nx.connected_components(nx.Graph(edges)):
+        out.update(cleanup_component(
+            [(u, v) for u, v in edges if u in piece], gamma, mu))
+    return out
 
 
 class TestCleanupComponent:
@@ -95,45 +126,44 @@ class TestGralmatchSpark:
 
 
 class TestPreCleanup:
-    def _df(self, spark, rows):
-        return spark.createDataFrame(pd.DataFrame(
-            rows, columns=["src", "dst", "from_token_overlap"]))
+    """The Section 4.2.1 pre-cleanup inside ``gralmatch``. With γ and μ
+    above every component size Algorithm 1 cuts nothing, so the groups are
+    the components of the edges the pre-cleanup keeps."""
 
-    def _run(self, spark, rows, gamma_pre):
-        """pre_cleanup with the Stage 2 labels of the same edges."""
-        edges = self._df(spark, rows)
-        labels = components_of_edges(edges).withColumnRenamed(
-            "component", "group")
-        return pre_cleanup(edges, labels, gamma_pre=gamma_pre)
+    def _run(self, spark, rows, gamma_pre, gamma=NO_CUT, mu=NO_CUT):
+        edges = spark.createDataFrame(pd.DataFrame(
+            rows, columns=["src", "dst", "from_token_overlap"]))
+        out = gralmatch(edges, gamma, mu, gamma_pre=gamma_pre)
+        return {r["id"]: r["group"] for r in out.collect()}
 
     def test_token_edges_dropped_in_big_component(self, spark):
-        # 60-node chain (component > 50) with one token-overlap edge.
+        # 61-node chain (component > 50) with one token-overlap edge.
         rows = [(i, i + 1, False) for i in range(60)]
         rows[30] = (30, 31, True)
-        out = self._run(spark, rows, gamma_pre=50)
-        kept = {(r["src"], r["dst"]) for r in out.collect()}
-        assert (30, 31) not in kept
-        assert len(kept) == 59  # the other 59 chain edges survive
+        got = self._run(spark, rows, gamma_pre=50)
+        assert got == {i: 0 if i <= 30 else 31 for i in range(61)}
 
     def test_token_edges_kept_in_small_component(self, spark):
         rows = [(1, 2, True), (2, 3, False)]
-        out = self._run(spark, rows, gamma_pre=50)
-        assert out.count() == 2
+        assert self._run(spark, rows, gamma_pre=50) == {1: 1, 2: 1, 3: 1}
 
     def test_id_edges_never_dropped(self, spark):
         rows = [(i, i + 1, False) for i in range(80)]
-        out = self._run(spark, rows, gamma_pre=50)
-        assert out.count() == 80
+        got = self._run(spark, rows, gamma_pre=50)
+        assert got == {i: 0 for i in range(81)}
 
     def test_threshold_boundary(self, spark):
         # component of exactly gamma_pre records is NOT cleaned.
         rows = [(i, i + 1, True) for i in range(9)]  # 10 nodes
-        out = self._run(spark, rows, gamma_pre=10)
-        assert out.count() == 9
+        assert self._run(spark, rows, gamma_pre=10) == {
+            i: 0 for i in range(10)}
+        # One record fewer allowed: every edge goes, every record is an
+        # implicit singleton.
+        assert self._run(spark, rows, gamma_pre=9) == {}
 
     def test_networkx_oracle_mixed_components(self, spark):
         """Components above, at and below ``gamma_pre`` in one call, each
-        with token-overlap and ID edges, against networkx component sizes."""
+        with token-overlap and ID edges, against networkx components."""
         gamma_pre = 12
         rows = []
         for base, size in ((0, 20), (100, gamma_pre), (200, 5)):
@@ -143,12 +173,89 @@ class TestPreCleanup:
                      (base + 1, base + size - 2, False)]
         g = nx.Graph((u, v) for u, v, _ in rows)
         size_of = {n: len(c) for c in nx.connected_components(g) for n in c}
-        expected = {(u, v) for u, v, tok in rows
-                    if not (tok and size_of[u] > gamma_pre)}
-        out = self._run(spark, rows, gamma_pre=gamma_pre)
-        got = [(r["src"], r["dst"]) for r in out.collect()]
-        assert len(got) == len(set(got))
-        assert set(got) == expected
-        # Only the 20-record component lost edges.
-        assert {(u, v) for u, v, _ in rows} - expected == {
+        kept = [(u, v) for u, v, tok in rows
+                if not (tok and size_of[u] > gamma_pre)]
+        got = self._run(spark, rows, gamma_pre=gamma_pre)
+        assert got == {n: min(c) for c in nx.connected_components(
+            nx.Graph(kept)) for n in c}
+        # Only the 20-record component lost edges, and it fell apart.
+        assert {(u, v) for u, v, _ in rows} - set(kept) == {
             (u, v) for u, v, tok in rows if tok and u < 100}
+        assert len({got[n] for n in range(20) if n in got}) > 1
+
+    def test_split_component_cleaned_piece_by_piece(self, spark):
+        """A component the token edges split into pieces gets the groups
+        Algorithm 1 gives each piece on its own."""
+        rng = random.Random(3)
+        pieces = [_clique(range(0, 9)), _clique(range(20, 26)),
+                  [(u + 40, v + 40) for u, v in
+                   nx.ring_of_cliques(4, 4).edges()],
+                  [(40 + i, 41 + i) for i in range(20, 40)]]
+        id_edges = [e for p in pieces for e in p]
+        token = [(8, 20), (25, 40), (3, 55), (79, 0)]
+        rows = ([(u, v, False) for u, v in _shuffled(id_edges, rng)]
+                + [(u, v, True) for u, v in token])
+        assert nx.is_connected(nx.Graph(id_edges + token))
+        got = self._run(spark, rows, gamma_pre=50, gamma=8, mu=4)
+        assert got == _groups_by_piece(id_edges, 8, 4)
+        assert len(set(got.values())) > len(pieces)  # Algorithm 1 did cut
+
+
+class TestDeterminism:
+    """The groups depend only on the set of undirected edges. Algorithm 1
+    breaks ties between equal betweenness, bridges and cuts by the order it
+    reads the edges in, so it must read them in one canonical order."""
+
+    @staticmethod
+    def _random_connected(rng):
+        n = rng.randint(12, 40)
+        nodes = rng.sample(range(1000), n)
+        edges = {(nodes[i], nodes[rng.randrange(i)]) for i in range(1, n)}
+        for _ in range(rng.randint(0, n)):
+            u, v = rng.sample(nodes, 2)
+            edges.add((u, v))
+        return list(edges)
+
+    def test_edge_order_and_orientation_do_not_matter(self):
+        rng = random.Random(20250325)
+        for trial in range(1500):
+            edges = self._random_connected(rng)
+            assert (cleanup_component(_shuffled(edges, rng), 8, 4)
+                    == cleanup_component(edges, 8, 4)), trial
+
+    def test_spark_independent_of_shuffle_partitions(self, spark):
+        edges = _tied_graph(seed=1)
+        expected = _groups_by_piece(edges, 8, 4)
+        assert len(set(expected.values())) > 3  # the ties were cut
+        old = spark.conf.get("spark.sql.shuffle.partitions")
+        try:
+            for i, n in enumerate((1, 7, 64)):
+                spark.conf.set("spark.sql.shuffle.partitions", n)
+                df = spark.createDataFrame(pd.DataFrame(
+                    _shuffled(edges, random.Random(i)),
+                    columns=["src", "dst"]))
+                got = {r["id"]: r["group"]
+                       for r in gralmatch(df, 8, 4).collect()}
+                assert got == expected, n
+        finally:
+            spark.conf.set("spark.sql.shuffle.partitions", old)
+
+
+class TestBenchmarkHooks:
+    """``perfbench/tracing.replay_alg1`` reruns Algorithm 1 on the driver
+    through ``repro.core.gralmatch``'s ``cleanup_component`` and ``Graph``
+    names; a rename there breaks the benchmark's ``--trace 1``."""
+
+    def test_replay_matches_spark(self, spark, monkeypatch):
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import tracing
+
+        edges = pd.DataFrame(_shuffled(_tied_graph(seed=2),
+                                       random.Random(0)),
+                             columns=["src", "dst"])
+        assignment = gralmatch(spark.createDataFrame(edges), 8, 4).toPandas()
+        gt = {n: n % 7 for n in pd.unique(edges.values.ravel())}
+        m = tracing.replay_alg1(edges, assignment, gt, 8, 4)
+        assert m["alg1.replay_mismatch"] == 0
+        assert m["alg1.edges_removed"] > 0

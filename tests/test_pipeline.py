@@ -8,7 +8,7 @@ from pyspark.sql import functions as F
 import repro.core.gralmatch as gralmatch_mod
 import repro.core.pipeline as pipeline_mod
 from repro.checkpoint import materialize
-from repro.core.gralmatch import gralmatch, pre_cleanup
+from repro.core.gralmatch import PRE_CLEANUP_SIZE, gralmatch
 from repro.core.pipeline import (candidate_pairs, full_assignment,
                                  post_stage, run_group_matching,
                                  serialized_records)
@@ -86,8 +86,9 @@ class TestFullAssignment:
 class TestPostStage:
     def test_labels_once_and_reproduces_run(self, monkeypatch, companies_df,
                                             company_result):
-        """Stage 3 on the run's pre-cleaned edges labels components once
-        (inside ``gralmatch``) and reproduces the run's post scores."""
+        """Stage 3 on the run's predictions, with the pre-cleanup the
+        companies run applies, labels components once (inside
+        ``gralmatch``) and reproduces the run's post scores."""
         calls = []
 
         def counting(edges, *args, **kwargs):
@@ -97,7 +98,7 @@ class TestPostStage:
         for mod in (pipeline_mod, gralmatch_mod):
             monkeypatch.setattr(mod, "components_of_edges", counting)
         post, _ = post_stage(company_result.pred_edges, companies_df,
-                             GAMMA, MU)
+                             GAMMA, MU, PRE_CLEANUP_SIZE)
         assert len(calls) == 1
 
         def scores(d):
@@ -106,21 +107,33 @@ class TestPostStage:
         assert scores(post) == scores(company_result.post_cleanup)
 
 
+class _NoMatch:
+    """A model that scores every candidate 0.0; the pipeline reads only
+    ``spec`` and ``predict`` of a model."""
+
+    spec = M.MODELS["distilbert128_all"]
+
+    def predict(self, pairs, records_ser):
+        return pairs.withColumn("prediction", F.lit(0.0))
+
+
 class TestNoPredictedEdges:
-    def test_every_record_a_singleton(self, spark, companies_df):
-        edges = spark.createDataFrame(
-            [], "src long, dst long, from_token_overlap boolean")
-        labels = components_of_edges(edges).withColumnRenamed(
-            "component", "group")
-        assert labels.count() == 0
-        post, post_labels = post_stage(pre_cleanup(edges, labels),
-                                       companies_df, GAMMA, MU)
-        rows = full_assignment(companies_df, post_labels).collect()
-        assert len(rows) == companies_df.count()
-        assert all(r["id"] == r["group"] for r in rows)
-        assert post["precision"] == 0.0
-        assert post["recall"] == 0.0
-        assert post["purity"] == 1.0
+    def test_every_record_a_singleton(self, companies_df, securities_df):
+        n_records = companies_df.count()
+        for pre in (True, False):
+            res = run_group_matching(companies_df, "companies", _NoMatch(),
+                                     GAMMA, MU, securities=securities_df,
+                                     apply_pre_cleanup=pre)
+            rows = res.assignment.collect()
+            assert len(rows) == n_records
+            assert all(r["id"] == r["group"] for r in rows)
+            assert res.n_candidates > 0
+            assert res.pred_edges.count() == 0
+            for stage in (res.pairwise, res.pre_cleanup, res.post_cleanup):
+                assert stage["precision"] == 0.0
+                assert stage["recall"] == 0.0
+            assert res.pre_cleanup["purity"] == 1.0
+            assert res.post_cleanup["purity"] == 1.0
 
 
 class TestEndToEnd:
@@ -239,12 +252,12 @@ def _sequential(records, kind, model, pre, **inputs):
         "component", "group")
     pre_scores = closure_scores(pre_labels, records)
     pre_scores["purity"] = cluster_purity(pre_labels, records)
-    edges = pre_cleanup(pred, pre_labels) if pre else pred
-    post_labels = materialize(gralmatch(edges, GAMMA, MU))
+    post_labels = materialize(gralmatch(
+        pred, GAMMA, MU, PRE_CLEANUP_SIZE if pre else None))
     post = closure_scores(post_labels, records)
     post["purity"] = cluster_purity(post_labels, records)
     return {"pairwise": pairwise, "pre": pre_scores, "post": post,
-            "n_candidates": n_candidates, "edges": edges,
+            "n_candidates": n_candidates, "edges": pred,
             "assignment": full_assignment(records, post_labels)}
 
 
