@@ -11,7 +11,7 @@ from _session import get_spark
 
 from repro.core.pipeline import run_group_matching
 from repro.matching import model as M
-from repro.tables.common import load_datasets, markdown_table
+from repro.tables.common import ISSUERS, load_datasets, markdown_table
 from repro.tables.paper_numbers import TABLE2
 from repro.tables.table2 import run_table2
 
@@ -20,8 +20,7 @@ def main(n_groups_synth: int = 1000) -> str:
     spark = get_spark("table2")
     datasets = load_datasets(spark, n_groups_synth=n_groups_synth)
     company_groups = {}
-    for sec_name, comp_name in (("real_securities", "real_companies"),
-                                ("synthetic_securities", "synthetic_companies")):
+    for sec_name, comp_name in ISSUERS.items():
         ds = datasets[comp_name]
         model = M.train(ds.records, "companies", M.MODELS["distilbert128_all"])
         res = run_group_matching(ds.records, "companies", model,

@@ -32,11 +32,9 @@ from repro.parallel import concurrently
 class StageScores:
     """Scores of one pipeline run (Table 4 row).
 
-    ``inference_seconds`` (scoring) and ``post_cleanup["cleanup_seconds"]``
-    (Stage 3) are wall times of branches that run concurrently with other
-    work of the same call (the candidate count; the pairwise and Stage 2
-    scores), so they include time shared with that work and do not add up
-    to the call's duration.
+    ``inference_seconds`` (scoring) is the wall time of a branch that runs
+    concurrently with the candidate count, so it includes time shared with
+    that work.
     """
 
     pairwise: dict
@@ -93,13 +91,13 @@ def run_group_matching(records: DataFrame, kind: str, model: TrainedModel,
                        gamma: int, mu: int,
                        securities: DataFrame | None = None,
                        company_groups: DataFrame | None = None,
-                       apply_pre_cleanup: bool | None = None) -> StageScores:
+                       apply_pre_cleanup: bool = True) -> StageScores:
     """Run the full pipeline on ``records`` and score all three stages.
 
-    ``apply_pre_cleanup`` defaults to the paper's choice: on for the
-    token-overlap-blocked datasets (companies, products), off for
-    securities (no Token Overlap blocking there). It is applied inside
-    Stage 3 (``gralmatch``), per component.
+    ``apply_pre_cleanup`` turns on the Section 4.2.1 pre-cleanup, applied
+    inside Stage 3 (``gralmatch``), per component. It drops only edges
+    found by Token Overlap alone, so it drops nothing on securities, whose
+    blockings are ID Overlap and Issuer Match.
 
     Branches that do not read each other's output run concurrently
     (``repro.parallel``): the candidate count alongside scoring, then the
@@ -107,8 +105,6 @@ def run_group_matching(records: DataFrame, kind: str, model: TrainedModel,
     and Stage 3 each label the components of the predictions themselves,
     so neither waits for the other.
     """
-    if apply_pre_cleanup is None:
-        apply_pre_cleanup = kind in ("companies", "products")
     gamma_pre = PRE_CLEANUP_SIZE if apply_pre_cleanup else None
     cands = materialize(candidate_pairs(kind, records, securities,
                                         company_groups))
@@ -156,8 +152,5 @@ def post_stage(edges: DataFrame, records: DataFrame, gamma: int, mu: int,
     (``StageScores.pred_edges``), with the pre-cleanup when ``gamma_pre``
     is set, plus its scores. Reusable with different (γ, μ) on the same
     edges — the paper's -MEC / ½γ / -BC sensitivity variants."""
-    t0 = time.perf_counter()
     post_labels = materialize(gralmatch(edges, gamma, mu, gamma_pre))
-    post = group_scores(post_labels, records)
-    post["cleanup_seconds"] = time.perf_counter() - t0
-    return post, post_labels
+    return group_scores(post_labels, records), post_labels

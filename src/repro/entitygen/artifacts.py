@@ -57,7 +57,6 @@ class GenConfig:
     acq_recorded_prob: float = 0.5  # per-source prob the acquisition was recorded
     # Per-record noise.
     p_upper: float = 0.12
-    p_token_drop: float = 0.10
     p_typo: float = 0.05
     p_suffix_noise: float = 0.25
     p_generic_secname: float = 0.5

@@ -23,6 +23,10 @@ _BRANDS = ["Acme", "Globex", "Initech", "Umbrella", "Stark", "Wayne",
 _CATEGORIES = ["laptop", "monitor", "printer", "router", "keyboard",
                "headset", "camera", "tablet", "phone", "drive"]
 _VARIANTS = ["S", "X", "Pro", "Lite", "Plus", "Mini", "Max", "II"]
+#: Share of products with a corner-case sibling (the "80% corner cases").
+CORNER_FRAC = 0.8
+#: Shops offering products; a group has at most one offer per shop.
+N_SHOPS = 30
 
 
 def _model_code(g: np.random.Generator) -> str:
@@ -30,8 +34,7 @@ def _model_code(g: np.random.Generator) -> str:
     return f"{letters}-{int(g.integers(1000, 9999))}"
 
 
-def wdc_products(n_records: int = 1000, corner_frac: float = 0.8,
-                 n_shops: int = 30, seed: int = 21) -> pd.DataFrame:
+def wdc_products(n_records: int = 1000, seed: int = 21) -> pd.DataFrame:
     """Generate ~``n_records`` product offers with heterogeneous groups.
 
     Columns mirror the financial tables where the pipeline needs them:
@@ -49,10 +52,10 @@ def wdc_products(n_records: int = 1000, corner_frac: float = 0.8,
         # Heterogeneous group sizes: zipf-ish in 1..20.
         size = int(min(20, max(1, g.zipf(1.6))))
         variants = [""]
-        if g.random() < corner_frac:
+        if g.random() < CORNER_FRAC:
             # Corner case: a sibling product differing by one variant token.
             variants.append(vocab.pick(g, _VARIANTS))
-        shops = g.choice(n_shops, size=min(n_shops, size * len(variants)),
+        shops = g.choice(N_SHOPS, size=min(N_SHOPS, size * len(variants)),
                          replace=False)
         si = 0
         for var in variants:

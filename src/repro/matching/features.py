@@ -11,19 +11,17 @@ DataFrame produced by blocking.
 """
 from __future__ import annotations
 
-import re
-
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.functions import pandas_udf
 
+from repro.matching.serialize import ID_RE
+
 N_FEATURES = 6
 FEATURE_NAMES = ("jaccard", "containment", "trigram", "id_overlap",
                  "rare_overlap", "len_ratio")
-
-_ID_RE = re.compile(r"^(?=.*\d)[a-z0-9]{6,}$")
 
 
 def pair_features(ser_a: str, ser_b: str) -> list:
@@ -38,9 +36,9 @@ def pair_features(ser_a: str, ser_b: str) -> list:
     gb = {ser_b[i:i + 3] for i in range(max(0, len(ser_b) - 2))}
     gu = ga | gb
     tri = len(ga & gb) / len(gu) if gu else 0.0
-    ids = sum(1 for t in inter if _ID_RE.match(t))
+    ids = sum(1 for t in inter if ID_RE.match(t))
     idov = min(ids, 3) / 3.0
-    rare = sum(1 for t in inter if len(t) >= 5 and not _ID_RE.match(t))
+    rare = sum(1 for t in inter if len(t) >= 5 and not ID_RE.match(t))
     rareov = min(rare, 4) / 4.0
     lenr = (min(len(ta), len(tb)) / max(len(ta), len(tb))
             if ta and tb else 0.0)

@@ -28,6 +28,7 @@ from pyspark.sql import functions as F
 from repro.matching.features import add_features
 from repro.matching.serialize import add_serialized
 from repro.matching.splits import labeled_pairs, reduced_pairs
+from repro.metrics.pairs import prf
 
 #: Columns serialized per dataset kind, in the curated order of the plain
 #: scheme — most discriminative first, long free text last (so truncation
@@ -124,8 +125,4 @@ def evaluate_pairs(model: TrainedModel, records: DataFrame, kind: str,
         F.sum((F.col("label") == 1.0).cast("long")).alias("pos"),
     ).first()
     pp, tp, pos = agg["pp"] or 0, agg["tp"] or 0, agg["pos"] or 0
-    p = tp / pp if pp else 0.0
-    r = tp / pos if pos else 0.0
-    f1 = 0.0 if p + r == 0 else 2 * p * r / (p + r)
-    return {"precision": p, "recall": r, "f1": f1,
-            "train_seconds": model.train_seconds}
+    return {**prf(tp, pp, pos), "train_seconds": model.train_seconds}

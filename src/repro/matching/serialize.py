@@ -52,7 +52,8 @@ _COMMON_WORDS = set(
         for w in f"{c} {r} {rc} {co} {cc}".split())
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
-_ID_RE = re.compile(r"^(?=.*\d)[a-z0-9]{6,}$")
+#: Identifier-shaped word: six or more letters/digits, at least one digit.
+ID_RE = re.compile(r"^(?=.*\d)[a-z0-9]{6,}$")
 
 
 def _words(text: str) -> list:
@@ -67,7 +68,7 @@ def _pieces(word: str, scheme: str) -> list:
     """Subword pieces of one word under the given scheme."""
     if word in _COMMON_WORDS:
         return [word]
-    if _ID_RE.match(word):
+    if ID_RE.match(word):
         # Identifier-shaped: character-level under ditto (the paper's "long
         # sequences of uninformative tokens"), whole under plain (see
         # module docstring).

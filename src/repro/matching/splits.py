@@ -16,8 +16,6 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.metrics.pairs import canonical_pairs
-
 #: Sampled negatives per positive pair (the paper's 5:1 ratio).
 NEG_RATIO = 5
 

@@ -49,8 +49,13 @@ def gt_pair_count(records: DataFrame) -> int:
     )
 
 
-def _f1(p: float, r: float) -> float:
-    return 0.0 if p + r == 0 else 2 * p * r / (p + r)
+def prf(tp: int, predicted: int, actual: int) -> dict:
+    """Precision, recall and F1 from a true-positive count and the counts
+    of predicted and of actual matches; a ratio over a zero count is 0."""
+    p = tp / predicted if predicted else 0.0
+    r = tp / actual if actual else 0.0
+    return {"precision": p, "recall": r,
+            "f1": 0.0 if p + r == 0 else 2 * p * r / (p + r)}
 
 
 def pairwise_scores(pred_pairs: DataFrame, records: DataFrame) -> dict:
@@ -72,9 +77,7 @@ def pairwise_scores(pred_pairs: DataFrame, records: DataFrame) -> dict:
         lambda: gt_pair_count(records),
     )
     total, tp = counts["total"] or 0, counts["tp"] or 0
-    p = tp / total if total else 0.0
-    r = tp / gt_total if gt_total else 0.0
-    return {"precision": p, "recall": r, "f1": _f1(p, r),
+    return {**prf(tp, total, gt_total),
             "tp": int(tp), "predicted": int(total), "gt_pairs": gt_total}
 
 
@@ -100,7 +103,5 @@ def closure_scores(assignment: DataFrame, records: DataFrame) -> dict:
         lambda: pair_count("group", "gt"),
         lambda: gt_pair_count(records),
     )
-    p = tp / pred_total if pred_total else 0.0
-    r = tp / gt_total if gt_total else 0.0
-    return {"precision": p, "recall": r, "f1": _f1(p, r),
+    return {**prf(tp, pred_total, gt_total),
             "tp": tp, "predicted": pred_total, "gt_pairs": gt_total}

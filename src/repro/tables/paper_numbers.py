@@ -1,6 +1,10 @@
 """The paper's reported numbers (Tables 1–4), for side-by-side diffing in
 EXPERIMENTS.md. Values are transcribed from the EDBT 2025 paper text; Table
-3/4 entries are (precision, recall, f1) percentages (means; stds omitted)."""
+3/4 entries are (precision, recall, f1) percentages (means; stds omitted).
+
+The harness also runs from them: each dataset's (γ, μ) and blockings label
+come from ``TABLE2``, and the models it runs per dataset are the keys of
+``TABLE3`` (the same rows as Table 4's, before its sensitivity variants)."""
 
 TABLE1 = {
     # dataset: {stat: value}

@@ -10,22 +10,15 @@ baseline model pipeline — callers pass it via ``company_groups``.
 from __future__ import annotations
 
 from repro.core.pipeline import candidate_pairs
-from repro.tables.common import Dataset
-
-BLOCKING_NAMES = {
-    "real_companies": "ID Overlap + Token Overlap",
-    "synthetic_companies": "ID Overlap + Token Overlap",
-    "real_securities": "ID Overlap + Issuer Match",
-    "synthetic_securities": "ID Overlap + Issuer Match",
-    "wdc_products": "Token Overlap",
-}
+from repro.tables.paper_numbers import TABLE2
 
 
 def run_table2(datasets: dict, company_groups: dict) -> list:
     """Rows: (dataset, blockings, n_records, n_candidates, gamma, mu).
 
     ``company_groups`` maps the two securities dataset names to a company
-    (id, group) assignment DataFrame used by Issuer Match.
+    (id, group) assignment DataFrame used by Issuer Match. The blockings
+    label is the paper's own (``paper_numbers.TABLE2``).
     """
     rows = []
     for name, ds in datasets.items():
@@ -34,7 +27,7 @@ def run_table2(datasets: dict, company_groups: dict) -> list:
             company_groups=company_groups.get(name),
         )
         rows.append((
-            name, BLOCKING_NAMES[name], ds.records.count(), cands.count(),
-            ds.gamma, ds.mu,
+            name, " + ".join(TABLE2[name][0]), ds.records.count(),
+            cands.count(), ds.gamma, ds.mu,
         ))
     return rows

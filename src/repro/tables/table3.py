@@ -10,7 +10,8 @@ from __future__ import annotations
 import statistics
 
 from repro.matching import model as M
-from repro.tables.common import DATASET_MODELS, Dataset, pct
+from repro.tables.common import Dataset, pct
+from repro.tables.paper_numbers import TABLE3
 
 
 def _mean_std(values: list) -> tuple[float, float]:
@@ -37,13 +38,8 @@ def run_cell(ds: Dataset, model_key: str, seeds: tuple) -> dict:
     return out
 
 
-def run_table3(datasets: dict, seeds: tuple = (0, 1),
-               dataset_names: tuple | None = None) -> list:
-    """Rows: (dataset, model_key, scores dict)."""
-    rows = []
-    names = dataset_names or tuple(datasets.keys())
-    for name in names:
-        ds = datasets[name]
-        for model_key in DATASET_MODELS[name]:
-            rows.append((name, model_key, run_cell(ds, model_key, seeds)))
-    return rows
+def run_table3(datasets: dict, seeds: tuple = (0, 1)) -> list:
+    """Rows: (dataset, model_key, scores dict), one per paper Table 3 cell
+    (``paper_numbers.TABLE3``)."""
+    return [(name, model_key, run_cell(ds, model_key, seeds))
+            for name, ds in datasets.items() for model_key in TABLE3[name]]

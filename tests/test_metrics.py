@@ -5,7 +5,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.metrics.pairs import (canonical_pairs, closure_scores,
-                                 gt_pair_count, pairwise_scores)
+                                 gt_pair_count, pairwise_scores, prf)
 from repro.metrics.purity import cluster_purity
 from repro.oracle import assert_equivalent
 
@@ -32,6 +32,16 @@ def _assign(spark, mapping):
         pd.DataFrame(list(mapping.items()), columns=["id", "group"])
         .astype("int64"),
         schema="id long, group long")
+
+
+class TestPrf:
+    def test_from_counts(self):
+        got = prf(3, 4, 6)
+        assert got == {"precision": 0.75, "recall": 0.5, "f1": 0.6}
+
+    def test_zero_counts_score_zero(self):
+        assert prf(0, 0, 0) == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
+        assert prf(0, 5, 5)["f1"] == 0.0
 
 
 class TestCanonicalPairs:

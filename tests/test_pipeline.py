@@ -27,6 +27,12 @@ def company_model(companies_df):
 
 
 @pytest.fixture(scope="module")
+def securities_model(securities_df):
+    return M.train(securities_df, "securities",
+                   M.MODELS["distilbert128_all"], seed=0)
+
+
+@pytest.fixture(scope="module")
 def company_result(companies_df, securities_df, company_model):
     return run_group_matching(companies_df, "companies", company_model,
                               gamma=GAMMA, mu=MU, securities=securities_df)
@@ -100,11 +106,7 @@ class TestPostStage:
         post, _ = post_stage(company_result.pred_edges, companies_df,
                              GAMMA, MU, PRE_CLEANUP_SIZE)
         assert len(calls) == 1
-
-        def scores(d):
-            return {k: v for k, v in d.items() if k != "cleanup_seconds"}
-
-        assert scores(post) == scores(company_result.post_cleanup)
+        assert post == company_result.post_cleanup
 
 
 class _NoMatch:
@@ -170,10 +172,8 @@ class TestEndToEnd:
         assert company_result.n_candidates > 0
 
     def test_securities_pipeline_with_company_assignment(
-            self, securities_df, company_result):
-        model = M.train(securities_df, "securities",
-                        M.MODELS["distilbert128_all"], seed=0)
-        res = run_group_matching(securities_df, "securities", model,
+            self, securities_df, securities_model, company_result):
+        res = run_group_matching(securities_df, "securities", securities_model,
                                  gamma=25, mu=5,
                                  company_groups=company_result.assignment)
         assert res.post_cleanup["f1"] > 0.5
@@ -181,15 +181,14 @@ class TestEndToEnd:
 
     def test_transitive_discovery_of_no_id_groups(self, spark,
                                                   securities_df,
+                                                  securities_model,
                                                   gt_company_groups):
         """Securities whose identifiers were wiped (NoIdOverlaps) can only
         be matched through the Issuer Match blocking — the paper's
         transitivity argument. With gt company groups, the pipeline must
         recover a decent share of their pairs."""
-        model = M.train(securities_df, "securities",
-                        M.MODELS["distilbert128_all"], seed=0)
-        res = run_group_matching(securities_df, "securities", model,
-                                 gamma=25, mu=5,
+        res = run_group_matching(securities_df, "securities",
+                                 securities_model, gamma=25, mu=5,
                                  company_groups=gt_company_groups)
         hard = securities_df.where(~F.col("easy_group")
                                    & ~F.col("acq_involved"))
@@ -269,7 +268,7 @@ def _rows(df) -> list:
     ("companies", True), ("companies", False), ("securities", False)],
     ids=["companies_pre", "companies_nopre", "securities"])
 def concurrent_run(request, spark, companies_df, securities_df,
-                   gt_company_groups, company_model):
+                   gt_company_groups, company_model, securities_model):
     """One ``run_group_matching`` call and its assignment collect, run in a
     job group between two marker jobs, plus the sequential reference."""
     kind, pre = request.param
@@ -277,9 +276,7 @@ def concurrent_run(request, spark, companies_df, securities_df,
         records, model = companies_df, company_model
         inputs = {"securities": securities_df}
     else:
-        records = securities_df
-        model = M.train(securities_df, "securities",
-                        M.MODELS["distilbert128_all"], seed=0)
+        records, model = securities_df, securities_model
         inputs = {"company_groups": gt_company_groups}
     sc = spark.sparkContext
     group = f"test-pipeline-{request.param_index}"
@@ -307,15 +304,28 @@ class TestConcurrentBranches:
 
     def test_equals_sequential_composition(self, concurrent_run):
         res, ref = concurrent_run["res"], concurrent_run["ref"]
-
-        def untimed(d):
-            return {k: v for k, v in d.items() if k != "cleanup_seconds"}
-
         assert res.pairwise == ref["pairwise"]
         assert res.pre_cleanup == ref["pre"]
-        assert untimed(res.post_cleanup) == untimed(ref["post"])
-        assert set(res.post_cleanup) - set(ref["post"]) == {
-            "cleanup_seconds"}
+        assert res.post_cleanup == ref["post"]
         assert res.n_candidates == ref["n_candidates"]
         assert _rows(res.pred_edges) == _rows(ref["edges"])
         assert concurrent_run["assignment"] == _rows(ref["assignment"])
+
+
+class TestPreCleanupDefault:
+    def test_securities_default_equals_off(self, securities_df,
+                                           securities_model,
+                                           gt_company_groups):
+        """The pre-cleanup (on by default) drops only Token-Overlap edges;
+        securities blocking finds none, so it changes nothing there."""
+        default = run_group_matching(securities_df, "securities",
+                                     securities_model, GAMMA, MU,
+                                     company_groups=gt_company_groups)
+        off = run_group_matching(securities_df, "securities",
+                                 securities_model, GAMMA, MU,
+                                 company_groups=gt_company_groups,
+                                 apply_pre_cleanup=False)
+        assert default.pairwise == off.pairwise
+        assert default.pre_cleanup == off.pre_cleanup
+        assert default.post_cleanup == off.post_cleanup
+        assert _rows(default.assignment) == _rows(off.assignment)

@@ -3,13 +3,25 @@ import duckdb
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.pipeline import StageScores
 from repro.entitygen import dataset as gen
-from repro.tables import paper_numbers
-from repro.tables.common import (DATASET_MODELS, THRESHOLDS, load_datasets,
-                                 markdown_table, pct)
+from repro.matching import model as M
+from repro.tables import paper_numbers, table3, table4
+from repro.tables.common import ISSUERS, load_datasets, markdown_table, pct
 from repro.tables.table1 import run_table1
 from repro.tables.table2 import run_table2
 from repro.tables.table3 import run_cell
+
+#: The models the paper reports per dataset (Tables 3 and 4), in order.
+PAPER_MODELS = {
+    "real_companies": ["ditto128", "ditto256", "distilbert128_all"],
+    "synthetic_companies": ["ditto128", "ditto256", "distilbert128_15k",
+                            "distilbert128_all"],
+    "real_securities": ["ditto128", "ditto256", "distilbert128_all"],
+    "synthetic_securities": ["ditto128", "ditto256", "distilbert128_15k",
+                             "distilbert128_all"],
+    "wdc_products": ["ditto128", "ditto256", "distilbert128_all"],
+}
 
 
 @pytest.fixture(scope="module")
@@ -24,14 +36,25 @@ class TestCommon:
             "real_companies", "synthetic_companies", "real_securities",
             "synthetic_securities", "wdc_products"}
 
-    def test_thresholds_match_paper(self):
-        assert THRESHOLDS["real_companies"] == (40, 8)
-        assert THRESHOLDS["synthetic_companies"] == (25, 5)
-        assert THRESHOLDS["wdc_products"] == (25, 5)
+    def test_thresholds_match_paper(self, datasets):
+        assert {name: (ds.gamma, ds.mu) for name, ds in datasets.items()} == {
+            "real_companies": (40, 8), "synthetic_companies": (25, 5),
+            "real_securities": (40, 8), "synthetic_securities": (25, 5),
+            "wdc_products": (25, 5)}
 
-    def test_dataset_models_match_paper_rows(self):
-        assert "distilbert128_15k" in DATASET_MODELS["synthetic_companies"]
-        assert "distilbert128_15k" not in DATASET_MODELS["real_companies"]
+    def test_dataset_models_match_paper_rows(self, monkeypatch, datasets):
+        monkeypatch.setattr(table3, "run_cell", lambda ds, key, seeds: {})
+        rows = table3.run_table3(datasets)
+        assert [(name, key) for name, key, _ in rows] == [
+            (name, key) for name, keys in PAPER_MODELS.items()
+            for key in keys]
+
+    def test_issuer_datasets_exist(self, datasets):
+        for sec, comp in ISSUERS.items():
+            assert datasets[sec].kind == "securities"
+            assert datasets[comp].kind == "companies"
+            assert datasets[comp].securities is datasets[sec].records
+            assert datasets[sec].securities is None
 
     def test_pct(self):
         assert pct(0.12345) == 12.35
@@ -79,11 +102,15 @@ class TestTable2:
             name: datasets[comp].records.select(
                 F.col("record_id").alias("id"),
                 F.col("gt_group").alias("group"))
-            for name, comp in (("real_securities", "real_companies"),
-                               ("synthetic_securities", "synthetic_companies"))
+            for name, comp in ISSUERS.items()
         }
         rows = run_table2(datasets, gt_groups)
-        assert len(rows) == 5
+        assert {name: blockings for name, blockings, *_ in rows} == {
+            "real_companies": "ID Overlap + Token Overlap",
+            "synthetic_companies": "ID Overlap + Token Overlap",
+            "real_securities": "ID Overlap + Issuer Match",
+            "synthetic_securities": "ID Overlap + Issuer Match",
+            "wdc_products": "Token Overlap"}
         for name, _, _, n_cand, _, _ in rows:
             assert n_cand > 0, name
 
@@ -96,6 +123,51 @@ class TestTable3:
         assert cell["f1"] > 50.0
 
 
+class TestTable4:
+    def test_run_order_puts_issuers_first(self, datasets):
+        assert table4.run_order(datasets) == [
+            "real_companies", "real_securities", "synthetic_companies",
+            "synthetic_securities", "wdc_products"]
+
+    def test_securities_read_their_issuers_groups(self, monkeypatch,
+                                                  datasets):
+        """With training and matching stubbed out: every paper row runs,
+        each securities run gets the group assignment of its issuers' run
+        with the same model, and the three sensitivity variants follow
+        synthetic companies' DistilBERT-ALL row."""
+        scores = {"precision": 1.0, "recall": 1.0, "f1": 1.0, "purity": 1.0}
+        calls = []
+
+        def match(records, kind, model, gamma, mu, securities=None,
+                  company_groups=None):
+            calls.append((records, model, company_groups))
+            return StageScores(scores, scores, scores, 0, 0.0,
+                               assignment=(records, model), pred_edges=None)
+
+        monkeypatch.setattr(M, "train", lambda records, kind, spec, seed:
+                            spec.name)
+        monkeypatch.setattr(table4, "run_group_matching", match)
+        monkeypatch.setattr(table4, "post_stage",
+                            lambda *args: (scores, None))
+        rows = table4.run_table4(datasets)
+        variants = [("synthetic_companies", f"distilbert128_all_{v}")
+                    for v in ("mec", "halfgamma", "bc")]
+        expected = []
+        for name in table4.run_order(datasets):
+            expected += [(name, key) for key in PAPER_MODELS[name]]
+            if name == "synthetic_companies":
+                expected += variants
+        assert [(name, key) for name, key, _ in rows] == expected
+        by_run = {(records, model): groups
+                  for records, model, groups in calls}
+        for sec, comp in ISSUERS.items():
+            for key in PAPER_MODELS[sec]:
+                model = M.MODELS[key].name
+                issuer_groups = by_run[(datasets[sec].records, model)]
+                assert issuer_groups[0] is datasets[comp].records
+                assert issuer_groups[1] == model
+
+
 class TestPaperNumbers:
     def test_table4_stage_tuples(self):
         for ds, models in paper_numbers.TABLE4.items():
@@ -106,10 +178,6 @@ class TestPaperNumbers:
         for ds, models in paper_numbers.TABLE3.items():
             for key, triple in models.items():
                 assert len(triple) == 3
-
-    def test_table2_matches_thresholds(self):
-        for ds, (_, _, _, gamma, mu) in paper_numbers.TABLE2.items():
-            assert (gamma, mu) == THRESHOLDS[ds]
 
     def test_model_keys_consistent(self):
         from repro.matching.model import MODELS
