@@ -47,9 +47,11 @@ def _driver_mem() -> str:
     return f"{max(1, int(limits[src] * 0.75) >> 30)}g"
 
 
+# The launcher settings go into PYSPARK_SUBMIT_ARGS, each once:
 # spark.driver.memory is read at JVM launch, not from SparkConf, so it must
-# be in PYSPARK_SUBMIT_ARGS before the first pyspark import; harmless under
-# spark-submit, which sets its own.
+# be there before the first pyspark import. Under spark-submit the driver
+# JVM already runs and this variable is not read, so spark-submit's own
+# --master, --driver-memory and --conf flags win.
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
@@ -65,12 +67,9 @@ from pyspark.sql import SparkSession  # noqa: E402
 def get_spark(app: str) -> SparkSession:
     s = (
         SparkSession.builder.appName(app)
-        .master(os.environ.get("SPARK_MASTER", "local[*]"))
         .config("spark.sql.shuffle.partitions", 64)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .config("spark.driver.host", "127.0.0.1")
-        .config("spark.ui.enabled", "false")
         .getOrCreate()
     )
     s.sparkContext.setLogLevel("ERROR")

@@ -15,6 +15,11 @@ from pyspark.sql import functions as F
 
 from repro.metrics.pairs import canonical_pairs
 
+N_TOP = 5  # candidates kept per record (Section 5.3.1)
+#: Tokens on more than ``max(MIN_DF_CAP, MAX_DF_FRAC * #records)`` drop.
+MAX_DF_FRAC = 0.05
+MIN_DF_CAP = 50
+
 
 def tokenize(records: DataFrame, text_cols: tuple = ("name", "city")) -> DataFrame:
     """(record_id, source_id, token) — distinct tokens of length >= 3."""
@@ -31,13 +36,12 @@ def tokenize(records: DataFrame, text_cols: tuple = ("name", "city")) -> DataFra
     )
 
 
-def token_overlap(records: DataFrame, n_top: int = 5,
-                  max_df_frac: float = 0.05, min_df_cap: int = 50,
+def token_overlap(records: DataFrame,
                   text_cols: tuple = ("name", "city")) -> DataFrame:
-    """Candidate pairs (src, dst) from top-n token overlap across sources."""
+    """Top-N_TOP token-overlap candidate pairs (src, dst) across sources."""
     toks = tokenize(records, text_cols)
     n_records = records.count()
-    cap = max(min_df_cap, int(n_records * max_df_frac))
+    cap = max(MIN_DF_CAP, int(n_records * MAX_DF_FRAC))
     rare = (
         toks.groupBy("token").agg(F.count("*").alias("df"))
         .where(F.col("df") <= cap)
@@ -58,6 +62,6 @@ def token_overlap(records: DataFrame, n_top: int = 5,
     )
     w = Window.partitionBy("ra").orderBy(F.desc("overlap"), F.asc("rb"))
     top = overlaps.withColumn("rank", F.row_number().over(w)).where(
-        F.col("rank") <= n_top
+        F.col("rank") <= N_TOP
     )
     return canonical_pairs(top, "ra", "rb")

@@ -10,7 +10,7 @@ The *pre graph cleanup* of Section 4.2.1 (drop Token-Overlap-derived
 predictions inside components larger than 50 records) is a rule on those
 same components, so it runs in the same task, before Algorithm 1:
 
-    if component > gamma_pre: drop its Token-Overlap edges
+    if component > PRE_CLEANUP_SIZE: drop its Token-Overlap edges
     while largest sub-component > γ: remove a Minimum Edge Cut of it
     while largest sub-component > μ: remove its max-Betweenness edge
 
@@ -70,32 +70,32 @@ def cleanup_component(edges: list, gamma: int, mu: int) -> dict:
 
 
 def gralmatch(edges: DataFrame, gamma: int, mu: int,
-              gamma_pre: int | None = None) -> DataFrame:
+              apply_pre_cleanup: bool = False) -> DataFrame:
     """Distributed GraLMatch Graph Cleanup: Stage 3 of the pipeline.
 
     ``edges``: DataFrame with ``src``, ``dst`` (undirected predicted
-    matches), and ``from_token_overlap`` (boolean) when ``gamma_pre`` is
-    set. Returns the final group assignment ``(id, group)`` for every
-    record that keeps an edge. Records not present are implicit singleton
-    groups (callers handle them with a left join).
+    matches), plus ``from_token_overlap`` (boolean) for the pre-cleanup.
+    Returns the final group assignment ``(id, group)`` for every record
+    that keeps an edge. Records not present are implicit singleton groups
+    (callers handle them with a left join).
 
-    With ``gamma_pre`` set, each component of more than ``gamma_pre``
-    records first drops its Token-Overlap edges (Section 4.2.1, the paper
-    uses ``PRE_CLEANUP_SIZE``); ``None`` skips the pre-cleanup.
+    ``apply_pre_cleanup`` first drops the Token-Overlap edges of every
+    component of more than ``PRE_CLEANUP_SIZE`` records (Section 4.2.1).
 
     Setting ``gamma == mu`` yields the paper's -MEC variant (Minimum Edge
     Cut only); ``gamma`` larger than any component yields -BC (Betweenness
     only).
     """
-    pre = gamma_pre is not None
-    cols = ["src", "dst"] + (["from_token_overlap"] if pre else [])
+    cols = ["src", "dst"] + (["from_token_overlap"] if apply_pre_cleanup
+                             else [])
     labels = components_of_edges(edges)
     labeled = edges.join(
         labels.withColumnRenamed("id", "src"), "src"
     ).select(*cols, "component")
 
     def run(pdf: pd.DataFrame) -> pd.DataFrame:
-        if pre and len(set(pdf["src"]) | set(pdf["dst"])) > gamma_pre:
+        if (apply_pre_cleanup and len(set(pdf["src"]) | set(pdf["dst"]))
+                > PRE_CLEANUP_SIZE):
             pdf = pdf[~pdf["from_token_overlap"]]
         edge_list = list(zip(pdf["src"].tolist(), pdf["dst"].tolist()))
         groups = cleanup_component(edge_list, gamma, mu)
@@ -103,8 +103,5 @@ def gralmatch(edges: DataFrame, gamma: int, mu: int,
             {"id": list(groups.keys()), "group": list(groups.values())}
         )
 
-    return (
-        labeled.repartition("component")
-        .groupBy("component")
-        .applyInPandas(run, schema="id long, group long")
-    )
+    return labeled.groupBy("component").applyInPandas(
+        run, schema="id long, group long")

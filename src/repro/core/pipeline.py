@@ -20,7 +20,7 @@ from repro.blocking.id_overlap import id_overlap_companies, id_overlap_securitie
 from repro.blocking.issuer_match import issuer_match
 from repro.blocking.token_overlap import token_overlap
 from repro.checkpoint import materialize
-from repro.core.gralmatch import PRE_CLEANUP_SIZE, gralmatch
+from repro.core.gralmatch import gralmatch
 from repro.graph.connected_components import components_of_edges
 from repro.matching.model import TrainedModel, serialized_records
 from repro.metrics.pairs import closure_scores, pairwise_scores
@@ -105,7 +105,6 @@ def run_group_matching(records: DataFrame, kind: str, model: TrainedModel,
     and Stage 3 each label the components of the predictions themselves,
     so neither waits for the other.
     """
-    gamma_pre = PRE_CLEANUP_SIZE if apply_pre_cleanup else None
     cands = materialize(candidate_pairs(kind, records, securities,
                                         company_groups))
 
@@ -128,7 +127,7 @@ def run_group_matching(records: DataFrame, kind: str, model: TrainedModel,
 
     pw, pre, (post, post_labels) = concurrently(
         lambda: pairwise_scores(pred, records), stage2,
-        lambda: post_stage(pred, records, gamma, mu, gamma_pre))
+        lambda: post_stage(pred, records, gamma, mu, apply_pre_cleanup))
 
     return StageScores(
         pairwise=pw, pre_cleanup=pre, post_cleanup=post,
@@ -147,10 +146,11 @@ def group_scores(labels: DataFrame, records: DataFrame) -> dict:
 
 
 def post_stage(edges: DataFrame, records: DataFrame, gamma: int, mu: int,
-               gamma_pre: int | None = None) -> tuple[dict, DataFrame]:
+               apply_pre_cleanup: bool = False) -> tuple[dict, DataFrame]:
     """Stage 3: ``gralmatch`` on ``edges``, the raw predictions
-    (``StageScores.pred_edges``), with the pre-cleanup when ``gamma_pre``
-    is set, plus its scores. Reusable with different (γ, μ) on the same
-    edges — the paper's -MEC / ½γ / -BC sensitivity variants."""
-    post_labels = materialize(gralmatch(edges, gamma, mu, gamma_pre))
+    (``StageScores.pred_edges``), with the pre-cleanup when
+    ``apply_pre_cleanup`` is set, plus its scores. Reusable with different
+    (γ, μ) on the same edges — the paper's -MEC / ½γ / -BC sensitivity
+    variants."""
+    post_labels = materialize(gralmatch(edges, gamma, mu, apply_pre_cleanup))
     return group_scores(post_labels, records), post_labels

@@ -54,17 +54,8 @@ class GenConfig:
     p_multiple_ids: float = 0.10
     p_no_id_overlaps: float = 0.08
     p_multiple_securities: float = 0.25
-    acq_recorded_prob: float = 0.5  # per-source prob the acquisition was recorded
     # Per-record noise.
-    p_upper: float = 0.12
     p_typo: float = 0.05
-    p_suffix_noise: float = 0.25
-    p_generic_secname: float = 0.5
-    p_id_missing: float = 0.25
-    # Per-source presence of a *security* record given its issuer's record
-    # exists there (securities form smaller groups than companies — Table 1:
-    # avg 5.4 vs 7.5 matches per entity).
-    sec_presence_prob: float = 0.82
     seed: int = 7
 
 
@@ -91,6 +82,13 @@ class ArtifactPlan:
     def merger_entities(self) -> list:
         """Entities created by mergers, in creation order."""
         return [c for _, _, c in self.mergers]
+
+    @property
+    def flag_sets(self) -> tuple[set, set]:
+        """(acquisition-involved, hard) entities: every record's
+        ``acq_involved`` / ``easy_group`` (= not hard) flags."""
+        acq = {e for pair in self.acquisitions for e in pair}
+        return acq, acq | set(self.merger_entities) | self.no_id_overlaps
 
     def gt_company_group(self, n_entities: int) -> dict:
         """entity_id -> ground-truth group id (acquirees fold into acquirers).

@@ -16,6 +16,11 @@ import pandas as pd
 from .artifacts import ArtifactPlan, GenConfig
 from . import vocab
 
+ACQ_RECORDED_PROB = 0.5  # per-source prob the acquisition was recorded
+# Per-record name noise: upper case; a suffix unless InsertCorporateTerm.
+P_UPPER = 0.12
+P_SUFFIX_NOISE = 0.25
+
 
 @dataclass
 class CompanyEntity:
@@ -106,9 +111,9 @@ def render_name(ent: CompanyEntity, source: int, plan: ArtifactPlan,
     term = plan.corp_term.get(ent.entity_id)
     if term is not None:
         name = f"{name} {term}"
-    elif g.random() < cfg.p_suffix_noise:
+    elif g.random() < P_SUFFIX_NOISE:
         name = f"{name} {vocab.pick(g, vocab.CORPORATE_SUFFIXES)}"
-    if g.random() < cfg.p_upper:
+    if g.random() < P_UPPER:
         name = name.upper()
     return name
 
@@ -174,7 +179,7 @@ def compute_presence(ents: list, cfg: GenConfig, plan: ArtifactPlan,
         bridge = None
         if e in acquirees:
             recorded = [s for s in present
-                        if g.random() < cfg.acq_recorded_prob]
+                        if g.random() < ACQ_RECORDED_PROB]
             bridge = recorded[0] if recorded else present[0]
             present = [s for s in present if s not in recorded or s == bridge]
             if bridge not in present:
@@ -189,8 +194,7 @@ def render_records(ents: list, cfg: GenConfig, plan: ArtifactPlan,
     group id. Returns columns: record_id, source_id, entity_id, gt_group,
     name, city, region, country_code, short_description."""
     gt = plan.gt_company_group(len(ents))
-    acq_set = set(plan.acquirees) | {a for a, _ in plan.acquisitions}
-    hard_set = acq_set | set(plan.merger_entities) | plan.no_id_overlaps
+    acq_set, hard_set = plan.flag_sets
     rows = []
     for ent in ents:
         e = ent.entity_id

@@ -50,9 +50,6 @@ class Graph:
     def number_of_nodes(self) -> int:
         return len(self.adj)
 
-    def number_of_edges(self) -> int:
-        return sum(len(n) for n in self.adj.values()) // 2
-
     def subgraph(self, nodes) -> "Graph":
         ns = set(nodes)
         g = Graph()

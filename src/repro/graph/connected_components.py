@@ -25,23 +25,25 @@ from repro.checkpoint import materialize
 MAX_ROUNDS = 50
 
 
-def connected_components(vertices: DataFrame, edges: DataFrame) -> DataFrame:
-    """Label vertices with their connected component.
+def components_of_edges(edges: DataFrame) -> DataFrame:
+    """Label the vertices of ``edges`` with their connected component.
 
-    Parameters
-    ----------
-    vertices : DataFrame with column ``id``.
-    edges : DataFrame with columns ``src``, ``dst`` (undirected; either
-        orientation, duplicates fine).
-    Returns DataFrame ``(id, component)`` where ``component`` is the minimum
-    vertex id of the component.
+    ``edges`` has columns ``src``, ``dst`` (undirected; either orientation,
+    duplicates fine). Returns ``(id, component)`` for exactly the vertices
+    that appear in ``edges``, where ``component`` is the minimum vertex id
+    of the component.
     """
+    verts = (
+        edges.select(F.col("src").alias("id"))
+        .union(edges.select(F.col("dst").alias("id")))
+        .distinct()
+    )
     sym = (
         edges.select("src", "dst")
         .union(edges.select(F.col("dst").alias("src"), F.col("src").alias("dst")))
         .distinct()
     )
-    labels = vertices.select("id", F.col("id").alias("component"))
+    labels = verts.select("id", F.col("id").alias("component"))
     sym = materialize(sym)
     labels = materialize(labels)
 
@@ -91,15 +93,6 @@ def connected_components(vertices: DataFrame, edges: DataFrame) -> DataFrame:
             break
     else:
         raise RuntimeError(
-            f"connected_components: no fixpoint in {MAX_ROUNDS} rounds")
+            f"components_of_edges: no fixpoint in {MAX_ROUNDS} rounds")
     return labels
 
-
-def components_of_edges(edges: DataFrame) -> DataFrame:
-    """Components over exactly the vertices that appear in ``edges``."""
-    verts = (
-        edges.select(F.col("src").alias("id"))
-        .union(edges.select(F.col("dst").alias("id")))
-        .distinct()
-    )
-    return connected_components(verts, edges)

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 
 from pyspark.ml.classification import LogisticRegression, LogisticRegressionModel
-from pyspark.ml.functions import array_to_vector, vector_to_array
+from pyspark.ml.functions import array_to_vector
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -80,12 +80,9 @@ class TrainedModel:
     train_seconds: float
 
     def predict(self, pairs: DataFrame, records_ser: DataFrame) -> DataFrame:
-        """Score (src, dst) pairs; adds ``prediction`` and ``p_match``."""
+        """Score (src, dst) pairs; adds ``prediction``."""
         feats = featurized(pairs, records_ser)
-        out = self.lr.transform(feats)
-        return out.withColumn(
-            "p_match", vector_to_array("probability")[1]
-        ).select(*pairs.columns, "prediction", "p_match")
+        return self.lr.transform(feats).select(*pairs.columns, "prediction")
 
 
 def train(records: DataFrame, kind: str, spec: ModelSpec,

@@ -18,6 +18,8 @@ from pyspark.sql import functions as F
 
 #: Sampled negatives per positive pair (the paper's 5:1 ratio).
 NEG_RATIO = 5
+#: Size of the DistilBERT-15K training subset (Section 5.2.1).
+REDUCED_CAP = 15_000
 
 
 def add_split(records: DataFrame, seed: int = 0) -> DataFrame:
@@ -88,11 +90,11 @@ def labeled_pairs(records: DataFrame, split: str,
     )
 
 
-def reduced_pairs(pairs: DataFrame, records: DataFrame,
-                  cap: int = 15_000) -> DataFrame:
+def reduced_pairs(pairs: DataFrame, records: DataFrame) -> DataFrame:
     """The DistilBERT-15K training subset: drop pairs from non-easy groups
     (acquisition-involved or not identifier-matchable), keep the first
-    ``cap`` pairs in record-id order (the paper's "first 10K/5K pairs")."""
+    ``REDUCED_CAP`` pairs in record-id order (the paper's "first 10K/5K
+    pairs")."""
     flags = records.select(
         "record_id", F.col("easy_group").cast("boolean").alias("easy")
     )
@@ -107,4 +109,4 @@ def reduced_pairs(pairs: DataFrame, records: DataFrame,
                | (F.col("easy_src") & F.col("easy_dst")))
         .select("src", "dst", "label")
     )
-    return kept.orderBy("src", "dst").limit(cap)
+    return kept.orderBy("src", "dst").limit(REDUCED_CAP)

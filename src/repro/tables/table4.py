@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from functools import partial
 
-from repro.core.gralmatch import PRE_CLEANUP_SIZE
 from repro.core.pipeline import StageScores, post_stage, run_group_matching
 from repro.matching import model as M
 from repro.parallel import concurrently
@@ -86,7 +85,7 @@ def run_table4(datasets: dict, seed: int = 0) -> list:
                 }
                 posts = concurrently(*(
                     partial(post_stage, scores.pred_edges, ds.records, g, m,
-                            PRE_CLEANUP_SIZE)
+                            apply_pre_cleanup=True)
                     for g, m in variants.values()))
                 for vname, (post, _) in zip(variants, posts):
                     rows.append((name, vname,

@@ -7,7 +7,8 @@ from pyspark.sql import functions as F
 from repro.blocking.id_overlap import (id_overlap_companies,
                                        id_overlap_securities, melt_ids)
 from repro.blocking.issuer_match import issuer_match
-from repro.blocking.token_overlap import token_overlap, tokenize
+from repro.blocking.token_overlap import (MIN_DF_CAP, N_TOP,
+                                          token_overlap, tokenize)
 from repro.oracle import assert_equivalent
 
 
@@ -55,46 +56,54 @@ class TestTokenOverlap:
         return spark.createDataFrame(pdf)
 
     def test_finds_shared_token_pair(self, spark):
-        out = token_overlap(self._df(spark), n_top=3, min_df_cap=50)
+        out = token_overlap(self._df(spark))
         got = {(r["src"], r["dst"]) for r in out.collect()}
         assert (1, 2) in got
 
     def test_same_source_excluded(self, spark):
-        out = token_overlap(self._df(spark), n_top=3, min_df_cap=50)
+        out = token_overlap(self._df(spark))
         got = {(r["src"], r["dst"]) for r in out.collect()}
         assert (1, 3) not in got  # records 1 and 3 share source 0
 
     def test_no_token_no_pair(self, spark):
-        out = token_overlap(self._df(spark), n_top=3, min_df_cap=50)
+        out = token_overlap(self._df(spark))
         got = {(r["src"], r["dst"]) for r in out.collect()}
         assert all(4 not in p for p in got)
 
     def test_df_cap_drops_ubiquitous_tokens(self, spark):
+        """A token on more than ``MIN_DF_CAP`` records is dropped; two
+        records that also share a rare token still pair through it."""
+        n = MIN_DF_CAP + 10
         pdf = pd.DataFrame({
-            "record_id": range(12),
-            "source_id": [i % 2 for i in range(12)],
-            "name": ["Common Inc"] * 12,
-            "city": [""] * 12,
+            "record_id": range(n),
+            "source_id": [i % 2 for i in range(n)],
+            "name": ["Common Inc"] * (n - 2) + ["Common Zorvex"] * 2,
+            "city": [""] * n,
         })
-        out = token_overlap(spark.createDataFrame(pdf), n_top=3,
-                            max_df_frac=0.05, min_df_cap=3)
-        assert out.count() == 0
+        out = token_overlap(spark.createDataFrame(pdf))
+        assert {(r["src"], r["dst"]) for r in out.collect()} == {
+            (n - 2, n - 1)}
 
     def test_top_n_limits_fanout(self, spark):
+        """Ten records per source, all sharing one token: each record keeps
+        its ``N_TOP`` lowest-id partners (overlaps tie), and a pair is a
+        candidate when either side keeps the other — not all 100 pairs."""
         pdf = pd.DataFrame({
-            "record_id": range(10),
-            "source_id": [0] + [1] * 9,
-            "name": ["Zorvex Energy"] * 10,
-            "city": [""] * 10,
+            "record_id": range(20),
+            "source_id": [0] * 10 + [1] * 10,
+            "name": ["Zorvex Energy"] * 20,
+            "city": [""] * 20,
         })
-        out = token_overlap(spark.createDataFrame(pdf), n_top=2,
-                            min_df_cap=50)
-        # record 0 (source 0) pairs with at most n_top others per side.
-        assert out.where((F.col("src") == 0) | (F.col("dst") == 0)).count() <= 9
+        out = token_overlap(spark.createDataFrame(pdf))
+        got = {(r["src"], r["dst"]) for r in out.collect()}
+        want = ({(a, b) for a in range(10) for b in range(10, 10 + N_TOP)}
+                | {(a, b) for a in range(N_TOP) for b in range(10, 20)})
+        assert N_TOP < 10 and len(want) < 100
+        assert got == want
 
     def test_recall_on_generated_groups(self, spark, companies_df):
         """Most easy groups must be discoverable via token overlap."""
-        out = token_overlap(companies_df, n_top=5)
+        out = token_overlap(companies_df)
         gt = companies_df.select("record_id", "gt_group", "easy_group")
         hits = (
             out.join(gt.withColumnRenamed("record_id", "src")

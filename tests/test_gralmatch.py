@@ -1,11 +1,14 @@
 """Tests for GraLMatch Graph Cleanup (Algorithm 1) — driver-side and Spark."""
+import ast
 import random
 from pathlib import Path
 
 import networkx as nx
 import pandas as pd
 
-from repro.core.gralmatch import cleanup_component, gralmatch
+import repro.core.gralmatch as gralmatch_mod
+import repro.core.pipeline as pipeline_mod
+from repro.core.gralmatch import PRE_CLEANUP_SIZE, cleanup_component, gralmatch
 
 #: Above every component size in these tests: Algorithm 1 cuts nothing.
 NO_CUT = 10**6
@@ -130,43 +133,44 @@ class TestPreCleanup:
     above every component size Algorithm 1 cuts nothing, so the groups are
     the components of the edges the pre-cleanup keeps."""
 
-    def _run(self, spark, rows, gamma_pre, gamma=NO_CUT, mu=NO_CUT):
+    def _run(self, spark, rows, gamma=NO_CUT, mu=NO_CUT):
         edges = spark.createDataFrame(pd.DataFrame(
             rows, columns=["src", "dst", "from_token_overlap"]))
-        out = gralmatch(edges, gamma, mu, gamma_pre=gamma_pre)
+        out = gralmatch(edges, gamma, mu, apply_pre_cleanup=True)
         return {r["id"]: r["group"] for r in out.collect()}
 
     def test_token_edges_dropped_in_big_component(self, spark):
         # 61-node chain (component > 50) with one token-overlap edge.
         rows = [(i, i + 1, False) for i in range(60)]
         rows[30] = (30, 31, True)
-        got = self._run(spark, rows, gamma_pre=50)
+        got = self._run(spark, rows)
         assert got == {i: 0 if i <= 30 else 31 for i in range(61)}
 
     def test_token_edges_kept_in_small_component(self, spark):
         rows = [(1, 2, True), (2, 3, False)]
-        assert self._run(spark, rows, gamma_pre=50) == {1: 1, 2: 1, 3: 1}
+        assert self._run(spark, rows) == {1: 1, 2: 1, 3: 1}
 
     def test_id_edges_never_dropped(self, spark):
         rows = [(i, i + 1, False) for i in range(80)]
-        got = self._run(spark, rows, gamma_pre=50)
+        got = self._run(spark, rows)
         assert got == {i: 0 for i in range(81)}
 
     def test_threshold_boundary(self, spark):
-        # component of exactly gamma_pre records is NOT cleaned.
-        rows = [(i, i + 1, True) for i in range(9)]  # 10 nodes
-        assert self._run(spark, rows, gamma_pre=10) == {
-            i: 0 for i in range(10)}
-        # One record fewer allowed: every edge goes, every record is an
-        # implicit singleton.
-        assert self._run(spark, rows, gamma_pre=9) == {}
+        # A component of exactly PRE_CLEANUP_SIZE records is NOT cleaned.
+        n = PRE_CLEANUP_SIZE
+        rows = [(i, i + 1, True) for i in range(n - 1)]
+        assert self._run(spark, rows) == {i: 0 for i in range(n)}
+        # One record more: every edge goes, every record is an implicit
+        # singleton.
+        rows.append((n - 1, n, True))
+        assert self._run(spark, rows) == {}
 
     def test_networkx_oracle_mixed_components(self, spark):
-        """Components above, at and below ``gamma_pre`` in one call, each
-        with token-overlap and ID edges, against networkx components."""
-        gamma_pre = 12
+        """Components above, at and below ``PRE_CLEANUP_SIZE`` in one call,
+        each with token-overlap and ID edges, against networkx
+        components."""
         rows = []
-        for base, size in ((0, 20), (100, gamma_pre), (200, 5)):
+        for base, size in ((0, 60), (100, PRE_CLEANUP_SIZE), (200, 5)):
             rows += [(base + i, base + i + 1, i % 3 == 0)
                      for i in range(size - 1)]
             rows += [(base, base + size - 1, True),  # closes a ring
@@ -174,14 +178,14 @@ class TestPreCleanup:
         g = nx.Graph((u, v) for u, v, _ in rows)
         size_of = {n: len(c) for c in nx.connected_components(g) for n in c}
         kept = [(u, v) for u, v, tok in rows
-                if not (tok and size_of[u] > gamma_pre)]
-        got = self._run(spark, rows, gamma_pre=gamma_pre)
+                if not (tok and size_of[u] > PRE_CLEANUP_SIZE)]
+        got = self._run(spark, rows)
         assert got == {n: min(c) for c in nx.connected_components(
             nx.Graph(kept)) for n in c}
-        # Only the 20-record component lost edges, and it fell apart.
+        # Only the 60-record component lost edges, and it fell apart.
         assert {(u, v) for u, v, _ in rows} - set(kept) == {
             (u, v) for u, v, tok in rows if tok and u < 100}
-        assert len({got[n] for n in range(20) if n in got}) > 1
+        assert len({got[n] for n in range(60) if n in got}) > 1
 
     def test_split_component_cleaned_piece_by_piece(self, spark):
         """A component the token edges split into pieces gets the groups
@@ -196,7 +200,7 @@ class TestPreCleanup:
         rows = ([(u, v, False) for u, v in _shuffled(id_edges, rng)]
                 + [(u, v, True) for u, v in token])
         assert nx.is_connected(nx.Graph(id_edges + token))
-        got = self._run(spark, rows, gamma_pre=50, gamma=8, mu=4)
+        got = self._run(spark, rows, gamma=8, mu=4)
         assert got == _groups_by_piece(id_edges, 8, 4)
         assert len(set(got.values())) > len(pieces)  # Algorithm 1 did cut
 
@@ -259,3 +263,22 @@ class TestBenchmarkHooks:
         m = tracing.replay_alg1(edges, assignment, gt, 8, 4)
         assert m["alg1.replay_mismatch"] == 0
         assert m["alg1.edges_removed"] > 0
+
+    def test_tracing_names_resolve(self, monkeypatch):
+        """Every ``P.<name>`` and ``gralmatch_mod.<name>`` that
+        ``perfbench/tracing.py`` reads exists on ``repro.core.pipeline`` /
+        ``repro.core.gralmatch``, and ``perfbench/workloads`` imports."""
+        bench = Path(__file__).resolve().parent.parent / "perfbench"
+        monkeypatch.syspath_prepend(str(bench))
+        import workloads  # noqa: F401
+
+        modules = {"P": pipeline_mod, "gralmatch_mod": gralmatch_mod}
+        tree = ast.parse((bench / "tracing.py").read_text())
+        used = {(node.value.id, node.attr) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules}
+        assert {alias for alias, _ in used} == set(modules)
+        missing = [f"{alias}.{name}" for alias, name in sorted(used)
+                   if not hasattr(modules[alias], name)]
+        assert missing == []

@@ -42,9 +42,8 @@ class TestTrainPredict:
         pairs = spark.createDataFrame(pd.DataFrame({
             "src": ids[:2], "dst": ids[2:]}))
         out = trained.predict(pairs, ser)
-        assert set(out.columns) == {"src", "dst", "prediction", "p_match"}
+        assert set(out.columns) == {"src", "dst", "prediction"}
         rows = out.collect()
-        assert all(0.0 <= r["p_match"] <= 1.0 for r in rows)
         assert all(r["prediction"] in (0.0, 1.0) for r in rows)
 
     def test_identical_records_predicted_match(self, trained, spark):

@@ -8,7 +8,7 @@ from pyspark.sql import functions as F
 import repro.core.gralmatch as gralmatch_mod
 import repro.core.pipeline as pipeline_mod
 from repro.checkpoint import materialize
-from repro.core.gralmatch import PRE_CLEANUP_SIZE, gralmatch
+from repro.core.gralmatch import gralmatch
 from repro.core.pipeline import (candidate_pairs, full_assignment,
                                  post_stage, run_group_matching,
                                  serialized_records)
@@ -104,7 +104,7 @@ class TestPostStage:
         for mod in (pipeline_mod, gralmatch_mod):
             monkeypatch.setattr(mod, "components_of_edges", counting)
         post, _ = post_stage(company_result.pred_edges, companies_df,
-                             GAMMA, MU, PRE_CLEANUP_SIZE)
+                             GAMMA, MU, apply_pre_cleanup=True)
         assert len(calls) == 1
         assert post == company_result.post_cleanup
 
@@ -251,8 +251,7 @@ def _sequential(records, kind, model, pre, **inputs):
         "component", "group")
     pre_scores = closure_scores(pre_labels, records)
     pre_scores["purity"] = cluster_purity(pre_labels, records)
-    post_labels = materialize(gralmatch(
-        pred, GAMMA, MU, PRE_CLEANUP_SIZE if pre else None))
+    post_labels = materialize(gralmatch(pred, GAMMA, MU, pre))
     post = closure_scores(post_labels, records)
     post["purity"] = cluster_purity(post_labels, records)
     return {"pairwise": pairwise, "pre": pre_scores, "post": post,

@@ -4,8 +4,9 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.matching.splits import (add_split, labeled_pairs, negative_pairs,
-                                   positive_pairs, reduced_pairs)
+from repro.matching.splits import (REDUCED_CAP, add_split, labeled_pairs,
+                                   negative_pairs, positive_pairs,
+                                   reduced_pairs)
 
 
 class TestAddSplit:
@@ -131,5 +132,15 @@ class TestReducedPairs:
         assert red.where(F.col("label") == 0.0).count() > 0
 
     def test_cap_respected(self, spark, companies_df):
-        pairs = labeled_pairs(companies_df, "train")
-        assert reduced_pairs(pairs, companies_df, cap=50).count() == 50
+        """More kept pairs than ``REDUCED_CAP``: the first ``REDUCED_CAP``
+        in (src, dst) order remain. Negatives are kept whatever their
+        groups, so all-negative pairs over the records exceed the cap."""
+        ids = companies_df.select(F.col("record_id").alias("src"))
+        pairs = (ids.crossJoin(ids.withColumnRenamed("src", "dst"))
+                 .where(F.col("src") < F.col("dst"))
+                 .withColumn("label", F.lit(0.0)))
+        assert pairs.count() > REDUCED_CAP
+        red = reduced_pairs(pairs, companies_df)
+        first = pairs.orderBy("src", "dst").limit(REDUCED_CAP)
+        assert red.count() == REDUCED_CAP
+        assert red.exceptAll(first).count() == 0

@@ -148,7 +148,7 @@ class TestTable4:
                             spec.name)
         monkeypatch.setattr(table4, "run_group_matching", match)
         monkeypatch.setattr(table4, "post_stage",
-                            lambda *args: (scores, None))
+                            lambda *args, **kwargs: (scores, None))
         rows = table4.run_table4(datasets)
         variants = [("synthetic_companies", f"distilbert128_all_{v}")
                     for v in ("mec", "halfgamma", "bc")]
