@@ -58,7 +58,8 @@ os.environ.setdefault(
     f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
     f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
     "--conf spark.driver.host=127.0.0.1 "
-    "--conf spark.ui.enabled=false pyspark-shell",
+    "--conf spark.ui.enabled=false "
+    "--conf spark.ui.showConsoleProgress=false pyspark-shell",
 )
 
 from pyspark.sql import SparkSession  # noqa: E402

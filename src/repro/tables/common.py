@@ -4,6 +4,7 @@
 scale; the financial synthetic pair scales with ``n_groups_synth`` while
 the "real" subsets and WDC stay at the paper's own (small) sizes. Each
 dataset's (γ, μ) is read from paper Table 2 (``paper_numbers.TABLE2``).
+``train_models`` fine-tunes the models that Tables 3 and 4 share.
 """
 from __future__ import annotations
 
@@ -14,8 +15,9 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.checkpoint import materialize
 from repro.entitygen import dataset as gen
 from repro.entitygen.wdc import wdc_products
+from repro.matching import model as M
 from repro.matching.splits import add_split
-from repro.tables.paper_numbers import TABLE2
+from repro.tables.paper_numbers import TABLE2, TABLE3
 
 #: Securities dataset → the companies dataset of its issuers, whose
 #: matching feeds the securities' Issuer Match blocking.
@@ -53,6 +55,16 @@ def load_datasets(spark: SparkSession, n_groups_synth: int = 1000,
                       securities.get(name), *TABLE2[name][3:])
         for name in pdfs
     }
+
+
+def train_models(datasets: dict, seeds: tuple) -> dict:
+    """Each paper model row (the keys of ``paper_numbers.TABLE3``) trained
+    once per seed: ``{(dataset, model_key): {seed: TrainedModel}}``. Table 3
+    evaluates every seed; Table 4 matches with the seed-0 models."""
+    return {(name, key): {seed: M.train(ds.records, ds.kind, M.MODELS[key],
+                                        seed=seed)
+                          for seed in seeds}
+            for name, ds in datasets.items() for key in TABLE3[name]}
 
 
 def pct(x: float) -> float:

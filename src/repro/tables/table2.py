@@ -5,7 +5,8 @@ uses per dataset (ID Overlap + Token Overlap for companies, ID Overlap +
 Issuer Match for securities, Token Overlap for WDC). The securities Issuer
 Match needs a prior company matching; for this *blocking statistics* table
 we follow the paper's setup and use the company matching produced by the
-baseline model pipeline — callers pass it via ``company_groups``.
+DistilBERT-ALL pipeline of Table 4 (``run_table4``'s second result) —
+callers pass it via ``company_groups``.
 """
 from __future__ import annotations
 

@@ -3,12 +3,14 @@
 For each dataset and model: pairwise / Pre-Graph-Cleanup / Post-Graph-
 Cleanup precision, recall, F1 (+ Cluster Purity for the group stages) and
 the inference time of the pairwise scoring stage. The models per dataset
-are the paper's Table 4 rows (the keys of ``paper_numbers.TABLE3``).
+are the paper's Table 4 rows (the keys of ``paper_numbers.TABLE3``), the
+seed-0 models that Table 3 also evaluates.
 
 Order matters: the companies pipeline of a model runs first, and its final
 group assignment feeds the Issuer Match blocking of the corresponding
 securities pipeline — exactly the paper's setup where securities candidates
-come from "companies previously matched".
+come from "companies previously matched". Table 2's Issuer Match counts
+read the same company assignments (``run_table4``'s second result).
 
 The sensitivity variants (Section 5.2.1) run on synthetic companies with
 the DistilBERT-ALL predictions reused, pre-cleanup included:
@@ -21,7 +23,6 @@ from __future__ import annotations
 from functools import partial
 
 from repro.core.pipeline import StageScores, post_stage, run_group_matching
-from repro.matching import model as M
 from repro.parallel import concurrently
 from repro.tables.common import ISSUERS, Dataset, pct
 from repro.tables.paper_numbers import TABLE3
@@ -57,20 +58,24 @@ def run_order(names) -> list:
     return order
 
 
-def run_table4(datasets: dict, seed: int = 0) -> list:
-    """Rows: (dataset, model_key, row dict), in ``run_order``."""
+def run_table4(datasets: dict, models: dict) -> tuple[list, dict]:
+    """Rows: (dataset, model_key, row dict), in ``run_order``, matched with
+    the seed-0 models of ``models`` (``common.train_models``); and the
+    company assignment each securities run's Issuer Match read, keyed by
+    (securities dataset, model_key)."""
     rows = []
     company_assign: dict = {}
+    issuer_groups: dict = {}
     for name in run_order(datasets):
         ds: Dataset = datasets[name]
         for model_key in TABLE3[name]:
-            model = M.train(ds.records, ds.kind, M.MODELS[model_key],
-                            seed=seed)
+            company_groups = company_assign.get((ISSUERS.get(name), model_key))
+            if name in ISSUERS:
+                issuer_groups[(name, model_key)] = company_groups
             scores = run_group_matching(
-                ds.records, ds.kind, model, ds.gamma, ds.mu,
-                securities=ds.securities,
-                company_groups=company_assign.get(
-                    (ISSUERS.get(name), model_key)),
+                ds.records, ds.kind, models[(name, model_key)][0],
+                ds.gamma, ds.mu, securities=ds.securities,
+                company_groups=company_groups,
             )
             if ds.kind == "companies":
                 company_assign[(name, model_key)] = scores.assignment
@@ -90,4 +95,4 @@ def run_table4(datasets: dict, seed: int = 0) -> list:
                 for vname, (post, _) in zip(variants, posts):
                     rows.append((name, vname,
                                  {**_row(scores), "post": _group_row(post)}))
-    return rows
+    return rows, issuer_groups

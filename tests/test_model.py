@@ -70,6 +70,7 @@ class TestTrainPredict:
 
     def test_evaluate_math(self, trained, companies_df):
         ev = M.evaluate_pairs(trained, companies_df, "companies", seed=5)
+        assert set(ev) == {"precision", "recall", "f1"}
         p, r, f1 = ev["precision"], ev["recall"], ev["f1"]
         if p + r:
             assert f1 == pytest.approx(2 * p * r / (p + r))

@@ -40,12 +40,14 @@ def test_driver_mem_fits_in_physical_memory(monkeypatch):
 def test_plain_python_session_settings(spark):
     """Without spark-submit the launcher settings come from
     ``PYSPARK_SUBMIT_ARGS``: ``SPARK_MASTER`` or ``local[*]``, a loopback
-    driver host and no UI; the builder adds the SQL settings."""
+    driver host, no UI and no console progress bars; the builder adds the
+    SQL settings."""
     conf = spark.sparkContext.getConf()
     assert spark.sparkContext.master == os.environ.get("SPARK_MASTER",
                                                        "local[*]")
     assert conf.get("spark.driver.host") == "127.0.0.1"
     assert conf.get("spark.ui.enabled") == "false"
+    assert conf.get("spark.ui.showConsoleProgress") == "false"
     assert spark.conf.get("spark.sql.shuffle.partitions") == "64"
 
 

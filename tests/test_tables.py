@@ -1,13 +1,18 @@
 """Smoke + correctness tests for the table harnesses (tiny scale)."""
+import re
+from types import SimpleNamespace
+
 import duckdb
 import pytest
 from pyspark.sql import functions as F
 
+import reproduce
 from repro.core.pipeline import StageScores
 from repro.entitygen import dataset as gen
 from repro.matching import model as M
-from repro.tables import paper_numbers, table3, table4
-from repro.tables.common import ISSUERS, load_datasets, markdown_table, pct
+from repro.tables import paper_numbers, table2, table3, table4
+from repro.tables.common import (ISSUERS, load_datasets, markdown_table, pct,
+                                 train_models)
 from repro.tables.table1 import run_table1
 from repro.tables.table2 import run_table2
 from repro.tables.table3 import run_cell
@@ -43,8 +48,11 @@ class TestCommon:
             "wdc_products": (25, 5)}
 
     def test_dataset_models_match_paper_rows(self, monkeypatch, datasets):
-        monkeypatch.setattr(table3, "run_cell", lambda ds, key, seeds: {})
-        rows = table3.run_table3(datasets)
+        monkeypatch.setattr(M, "train", lambda records, kind, spec, seed:
+                            spec.name)
+        monkeypatch.setattr(table3, "run_cell", lambda ds, trained: {})
+        models = train_models(datasets, seeds=(0,))
+        rows = table3.run_table3(datasets, models)
         assert [(name, key) for name, key, _ in rows] == [
             (name, key) for name, keys in PAPER_MODELS.items()
             for key in keys]
@@ -119,8 +127,12 @@ class TestTable3:
     @pytest.mark.parametrize("name", ["synthetic_companies",
                                       "synthetic_securities"])
     def test_distilbert_all_cell(self, datasets, name):
-        cell = run_cell(datasets[name], "distilbert128_all", seeds=(0,))
+        ds = datasets[name]
+        model = M.train(ds.records, ds.kind, M.MODELS["distilbert128_all"],
+                        seed=0)
+        cell = run_cell(ds, {0: model})
         assert cell["f1"] > 50.0
+        assert cell["train_seconds"] == round(model.train_seconds, 1)
 
 
 class TestTable4:
@@ -131,10 +143,11 @@ class TestTable4:
 
     def test_securities_read_their_issuers_groups(self, monkeypatch,
                                                   datasets):
-        """With training and matching stubbed out: every paper row runs,
-        each securities run gets the group assignment of its issuers' run
-        with the same model, and the three sensitivity variants follow
-        synthetic companies' DistilBERT-ALL row."""
+        """With matching stubbed out: every paper row runs, each
+        securities run gets the group assignment of its issuers' run with
+        the same model (and ``run_table4`` returns it), and the three
+        sensitivity variants follow synthetic companies' DistilBERT-ALL
+        row."""
         scores = {"precision": 1.0, "recall": 1.0, "f1": 1.0, "purity": 1.0}
         calls = []
 
@@ -144,12 +157,12 @@ class TestTable4:
             return StageScores(scores, scores, scores, 0, 0.0,
                                assignment=(records, model), pred_edges=None)
 
-        monkeypatch.setattr(M, "train", lambda records, kind, spec, seed:
-                            spec.name)
         monkeypatch.setattr(table4, "run_group_matching", match)
         monkeypatch.setattr(table4, "post_stage",
                             lambda *args, **kwargs: (scores, None))
-        rows = table4.run_table4(datasets)
+        models = {(name, key): {0: M.MODELS[key].name}
+                  for name, keys in PAPER_MODELS.items() for key in keys}
+        rows, issuer_groups = table4.run_table4(datasets, models)
         variants = [("synthetic_companies", f"distilbert128_all_{v}")
                     for v in ("mec", "halfgamma", "bc")]
         expected = []
@@ -163,9 +176,87 @@ class TestTable4:
         for sec, comp in ISSUERS.items():
             for key in PAPER_MODELS[sec]:
                 model = M.MODELS[key].name
-                issuer_groups = by_run[(datasets[sec].records, model)]
-                assert issuer_groups[0] is datasets[comp].records
-                assert issuer_groups[1] == model
+                groups = by_run[(datasets[sec].records, model)]
+                assert groups[0] is datasets[comp].records
+                assert groups[1] == model
+                assert issuer_groups[(sec, key)] is groups
+        assert len(issuer_groups) == sum(len(PAPER_MODELS[sec])
+                                         for sec in ISSUERS)
+
+
+class TestReproduce:
+    def test_one_run_trains_each_model_once(self, monkeypatch, capsys, spark,
+                                            datasets):
+        """``jobs/reproduce.main`` with training, evaluation, matching and
+        candidate generation stubbed, on the 80-group datasets: one session
+        and one ``load_datasets``, one training per (dataset, model, seed),
+        Table 4 on the seed-0 models Table 3 evaluated, Table 2's Issuer
+        Match on Table 4's DistilBERT-ALL company assignments, and the
+        tables printed in the order 1, 3, 4, 2."""
+        scores = {"precision": 1.0, "recall": 1.0, "f1": 1.0, "purity": 1.0}
+        starts, loads, trained, evaluated, matched, blocked = ([] for _ in
+                                                               range(6))
+
+        def train(records, kind, spec, seed):
+            trained.append(SimpleNamespace(records=records, spec=spec,
+                                           seed=seed, train_seconds=1.0))
+            return trained[-1]
+
+        def evaluate(model, records, kind, seed):
+            evaluated.append((model, seed))
+            return scores
+
+        def match(records, kind, model, gamma, mu, securities=None,
+                  company_groups=None):
+            matched.append((records, kind, model))
+            return StageScores(scores, scores, scores, 0, 0.0,
+                               assignment=("groups", model), pred_edges=None)
+
+        def candidates(kind, records, securities=None, company_groups=None):
+            blocked.append((records, company_groups))
+            return SimpleNamespace(count=lambda: 0)
+
+        monkeypatch.setattr(reproduce, "get_spark",
+                            lambda app: starts.append(app) or spark)
+        monkeypatch.setattr(reproduce, "load_datasets",
+                            lambda s, n_groups_synth: loads.append(s)
+                            or datasets)
+        monkeypatch.setattr(M, "train", train)
+        monkeypatch.setattr(M, "evaluate_pairs", evaluate)
+        monkeypatch.setattr(table4, "run_group_matching", match)
+        monkeypatch.setattr(table4, "post_stage",
+                            lambda *args, **kwargs: (scores, None))
+        monkeypatch.setattr(table2, "candidate_pairs", candidates)
+
+        out = reproduce.main(80, 2)
+
+        assert len(starts) == 1 and len(loads) == 1
+        cells = [(datasets[name].records, M.MODELS[key])
+                 for name, keys in PAPER_MODELS.items() for key in keys]
+        assert len(cells) == 17
+        assert sorted((id(m.records), id(m.spec), m.seed) for m in trained) \
+            == sorted((id(r), id(spec), seed) for r, spec in cells
+                      for seed in (0, 1))
+        assert sorted(id(m) for m, _ in evaluated) == sorted(map(id, trained))
+        assert all(seed == m.seed + 100 for m, seed in evaluated)
+        # Table 4: one run per paper row, each on the seed-0 model that
+        # Table 3 evaluated; the company pipeline runs only there.
+        assert len(matched) == 17
+        assert sum(kind == "companies" for _, kind, _ in matched) == 7
+        for records, _, model in matched:
+            assert model.seed == 0 and model.records is records
+            assert any(model is m for m, _ in evaluated)
+        # Table 2: securities candidates read the DistilBERT-ALL companies.
+        issuer_groups = {id(r): g for r, g in blocked if g is not None}
+        assert len(blocked) == 5 and len(issuer_groups) == len(ISSUERS)
+        for sec, comp in ISSUERS.items():
+            groups = issuer_groups[id(datasets[sec].records)]
+            assert groups[0] == "groups"
+            assert groups[1].records is datasets[comp].records
+            assert groups[1].spec is M.MODELS["distilbert128_all"]
+        assert re.findall(r"^## Table (\d)$", out, re.M) == \
+            ["1", "3", "4", "2"]
+        assert capsys.readouterr().out.strip() == out.strip()
 
 
 class TestPaperNumbers:
