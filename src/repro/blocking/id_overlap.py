@@ -14,7 +14,8 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.metrics.pairs import canonical_pairs
+from repro.record_pairs import (canonical_pairs, cross_source_pairs,
+                                with_endpoints)
 
 ID_COLS = ("isin", "cusip", "valor", "sedol")
 
@@ -39,33 +40,13 @@ def melt_ids(securities: DataFrame) -> DataFrame:
 
 def id_overlap_securities(securities: DataFrame) -> DataFrame:
     """Security candidate pairs (src, dst) sharing an identifier value."""
-    ids = melt_ids(securities)
-    a, b = ids.alias("a"), ids.alias("b")
-    joined = a.join(b, "id_value").where(
-        (F.col("a.record_id") != F.col("b.record_id"))
-        & (F.col("a.source_id") != F.col("b.source_id"))
-    )
-    return canonical_pairs(joined.select(
-        F.col("a.record_id").alias("src"), F.col("b.record_id").alias("dst")
-    ))
+    return canonical_pairs(cross_source_pairs(melt_ids(securities), "id_value"))
 
 
 def id_overlap_companies(companies: DataFrame, securities: DataFrame) -> DataFrame:
     """Company candidate pairs whose issued securities share an identifier."""
-    ids = melt_ids(securities)
-    a, b = ids.alias("a"), ids.alias("b")
-    joined = a.join(b, "id_value").where(
-        (F.col("a.company_record_id") != F.col("b.company_record_id"))
-        & (F.col("a.source_id") != F.col("b.source_id"))
-    )
-    pairs = canonical_pairs(joined.select(
-        F.col("a.company_record_id").alias("src"),
-        F.col("b.company_record_id").alias("dst"),
-    ))
+    pairs = canonical_pairs(cross_source_pairs(
+        melt_ids(securities), "id_value", rec="company_record_id"))
     # Keep only pairs whose endpoints are actual company records (a security
     # may reference an issuer record missing from the company table).
-    recs = companies.select(F.col("record_id"))
-    return (
-        pairs.join(recs.withColumnRenamed("record_id", "src"), "src")
-        .join(recs.withColumnRenamed("record_id", "dst"), "dst")
-    )
+    return with_endpoints(pairs, companies)

@@ -9,9 +9,8 @@ securities with wiped identifiers (NoIdOverlaps) and generic names
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.metrics.pairs import canonical_pairs
+from repro.record_pairs import canonical_pairs, cross_source_pairs
 
 
 def issuer_match(securities: DataFrame, company_groups: DataFrame) -> DataFrame:
@@ -25,11 +24,4 @@ def issuer_match(securities: DataFrame, company_groups: DataFrame) -> DataFrame:
         company_groups.withColumnRenamed("id", "company_record_id"),
         "company_record_id",
     )
-    a, b = tagged.alias("a"), tagged.alias("b")
-    joined = a.join(b, "group").where(
-        (F.col("a.record_id") != F.col("b.record_id"))
-        & (F.col("a.source_id") != F.col("b.source_id"))
-    )
-    return canonical_pairs(joined.select(
-        F.col("a.record_id").alias("src"), F.col("b.record_id").alias("dst")
-    ))
+    return canonical_pairs(cross_source_pairs(tagged, "group"))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.metrics.pairs import canonical_pairs
+from repro.record_pairs import canonical_pairs, cross_source_pairs
 
 N_TOP = 5  # candidates kept per record (Section 5.3.1)
 #: Tokens on more than ``max(MIN_DF_CAP, MAX_DF_FRAC * #records)`` drop.
@@ -47,21 +47,13 @@ def token_overlap(records: DataFrame,
         .where(F.col("df") <= cap)
         .select("token")
     )
-    toks = toks.join(rare, "token")
-    a, b = toks.alias("a"), toks.alias("b")
     overlaps = (
-        a.join(b, "token")
-        .where(
-            (F.col("a.record_id") != F.col("b.record_id"))
-            & (F.col("a.source_id") != F.col("b.source_id"))
-        )
-        .groupBy(
-            F.col("a.record_id").alias("ra"), F.col("b.record_id").alias("rb")
-        )
+        cross_source_pairs(toks.join(rare, "token"), "token")
+        .groupBy("src", "dst")
         .agg(F.count("*").alias("overlap"))
     )
-    w = Window.partitionBy("ra").orderBy(F.desc("overlap"), F.asc("rb"))
+    w = Window.partitionBy("src").orderBy(F.desc("overlap"), F.asc("dst"))
     top = overlaps.withColumn("rank", F.row_number().over(w)).where(
         F.col("rank") <= N_TOP
     )
-    return canonical_pairs(top, "ra", "rb")
+    return canonical_pairs(top)

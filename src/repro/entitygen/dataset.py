@@ -62,12 +62,14 @@ def generate(cfg: GenConfig) -> tuple[pd.DataFrame, pd.DataFrame]:
     return companies, securities
 
 
-def synthetic(n_groups: int = 300, seed: int = 7) -> tuple[pd.DataFrame, pd.DataFrame]:
+def synthetic(n_groups: int = 300,
+              seed: int = SYNTHETIC.seed) -> tuple[pd.DataFrame, pd.DataFrame]:
     """Synthetic companies+securities at the requested group count."""
     return generate(replace(SYNTHETIC, n_groups=n_groups, seed=seed))
 
 
-def real(n_groups: int = 1500, seed: int = 11) -> tuple[pd.DataFrame, pd.DataFrame]:
+def real(n_groups: int = 1500,
+         seed: int = REAL.seed) -> tuple[pd.DataFrame, pd.DataFrame]:
     """Real-like companies+securities (paper scale ⇒ n_groups≈1500)."""
     return generate(replace(REAL, n_groups=n_groups, seed=seed))
 

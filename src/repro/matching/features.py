@@ -14,14 +14,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 from pyspark.sql.functions import pandas_udf
 
 from repro.matching.serialize import ID_RE
-
-N_FEATURES = 6
-FEATURE_NAMES = ("jaccard", "containment", "trigram", "id_overlap",
-                 "rare_overlap", "len_ratio")
+from repro.record_pairs import with_endpoints
 
 
 def pair_features(ser_a: str, ser_b: str) -> list:
@@ -65,16 +61,5 @@ def add_features(pairs: DataFrame, records_ser: DataFrame) -> DataFrame:
     ``records_ser`` must carry ``record_id`` and ``ser`` (from
     :func:`repro.matching.serialize.add_serialized`).
     """
-    ser = records_ser.select("record_id", "ser")
-    joined = (
-        pairs.join(
-            ser.withColumnRenamed("record_id", "src")
-               .withColumnRenamed("ser", "ser_src"), "src"
-        )
-        .join(
-            ser.withColumnRenamed("record_id", "dst")
-               .withColumnRenamed("ser", "ser_dst"), "dst"
-        )
-    )
-    return joined.withColumn("features_arr",
-                             _features_udf()("ser_src", "ser_dst"))
+    return with_endpoints(pairs, records_ser, "ser").withColumn(
+        "features_arr", _features_udf()("ser_src", "ser_dst"))

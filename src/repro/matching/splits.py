@@ -16,15 +16,17 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.record_pairs import with_endpoints
+
 #: Sampled negatives per positive pair (the paper's 5:1 ratio).
 NEG_RATIO = 5
 #: Size of the DistilBERT-15K training subset (Section 5.2.1).
 REDUCED_CAP = 15_000
 
 
-def add_split(records: DataFrame, seed: int = 0) -> DataFrame:
+def add_split(records: DataFrame) -> DataFrame:
     """Add ``split`` in {train, val, test} by hashing the ground-truth group."""
-    bucket = F.pmod(F.xxhash64(F.col("gt_group"), F.lit(seed)), F.lit(10))
+    bucket = F.pmod(F.xxhash64(F.col("gt_group"), F.lit(0)), F.lit(10))
     return records.withColumn(
         "split",
         F.when(bucket < 6, "train").when(bucket < 8, "val").otherwise("test"),
@@ -99,10 +101,7 @@ def reduced_pairs(pairs: DataFrame, records: DataFrame) -> DataFrame:
         "record_id", F.col("easy_group").cast("boolean").alias("easy")
     )
     kept = (
-        pairs.join(flags.withColumnRenamed("record_id", "src")
-                        .withColumnRenamed("easy", "easy_src"), "src")
-        .join(flags.withColumnRenamed("record_id", "dst")
-                   .withColumnRenamed("easy", "easy_dst"), "dst")
+        with_endpoints(pairs, flags, "easy")
         # The filter discards hard *positives* (a random negative pair is
         # unaffected by whether its groups are identifier-matchable).
         .where((F.col("label") == 0.0)

@@ -19,24 +19,13 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.parallel import concurrently
+from repro.record_pairs import canonical_pairs, with_endpoints
 
 
 def _pairs():
     # Built lazily — a module-level Column would need an active SparkContext
     # at import time.
     return F.col("n") * (F.col("n") - 1) / 2
-
-
-def canonical_pairs(pairs: DataFrame, a: str = "src", b: str = "dst") -> DataFrame:
-    """Undirected dedup: order endpoints, drop self-pairs and duplicates."""
-    return (
-        pairs.select(
-            F.least(F.col(a), F.col(b)).alias("src"),
-            F.greatest(F.col(a), F.col(b)).alias("dst"),
-        )
-        .where(F.col("src") != F.col("dst"))
-        .distinct()
-    )
 
 
 def gt_pair_count(records: DataFrame) -> int:
@@ -60,14 +49,8 @@ def prf(tp: int, predicted: int, actual: int) -> dict:
 
 def pairwise_scores(pred_pairs: DataFrame, records: DataFrame) -> dict:
     """P/R/F1 of predicted pairs against the ground truth grouping."""
-    gt = records.select(F.col("record_id"), F.col("gt_group").alias("gt"))
-    pairs = canonical_pairs(pred_pairs)
-    joined = (
-        pairs.join(gt.withColumnRenamed("record_id", "src")
-                     .withColumnRenamed("gt", "gt_src"), "src")
-        .join(gt.withColumnRenamed("record_id", "dst")
-                .withColumnRenamed("gt", "gt_dst"), "dst")
-    )
+    gt = records.select("record_id", F.col("gt_group").alias("gt"))
+    joined = with_endpoints(canonical_pairs(pred_pairs), gt, "gt")
     counts, gt_total = concurrently(
         lambda: joined.agg(
             F.count("*").alias("total"),

@@ -41,11 +41,11 @@ def load_datasets(spark: SparkSession, n_groups_synth: int = 1000,
                   n_groups_real: int = 1500,
                   n_wdc_records: int = 1000) -> dict:
     """Build all five datasets with split columns, checkpointed."""
-    syn_c, syn_s = gen.synthetic(n_groups_synth, seed=7)
-    real_c, real_s = gen.real(n_groups_real, seed=11)
+    syn_c, syn_s = gen.synthetic(n_groups_synth)
+    real_c, real_s = gen.real(n_groups_real)
     pdfs = {"real_companies": real_c, "synthetic_companies": syn_c,
             "real_securities": real_s, "synthetic_securities": syn_s,
-            "wdc_products": wdc_products(n_wdc_records, seed=21)}
+            "wdc_products": wdc_products(n_wdc_records)}
     records = {name: materialize(add_split(spark.createDataFrame(pdf)))
                for name, pdf in pdfs.items()}
     # A companies dataset's ID Overlap also reads the securities it issued.

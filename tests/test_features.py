@@ -1,13 +1,12 @@
 """Tests for pair similarity features."""
 import pytest
 
-from repro.matching.features import FEATURE_NAMES, N_FEATURES, pair_features
+from repro.matching.features import pair_features
 
 
 class TestPairFeatures:
     def test_length(self):
-        assert len(pair_features("a b c", "a b d")) == N_FEATURES
-        assert len(FEATURE_NAMES) == N_FEATURES
+        assert len(pair_features("a b c", "a b d")) == 6
 
     def test_identical_strings(self):
         f = pair_features("acme corp zurich", "acme corp zurich")

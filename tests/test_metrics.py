@@ -4,8 +4,8 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.metrics.pairs import (canonical_pairs, closure_scores,
-                                 gt_pair_count, pairwise_scores, prf)
+from repro.metrics.pairs import (closure_scores, gt_pair_count,
+                                 pairwise_scores, prf)
 from repro.metrics.purity import cluster_purity
 from repro.oracle import assert_equivalent
 
@@ -42,24 +42,6 @@ class TestPrf:
     def test_zero_counts_score_zero(self):
         assert prf(0, 0, 0) == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
         assert prf(0, 5, 5)["f1"] == 0.0
-
-
-class TestCanonicalPairs:
-    def test_orders_and_dedups(self, spark):
-        out = canonical_pairs(_pairs(spark, [(2, 1), (1, 2), (3, 3)]))
-        assert {(r["src"], r["dst"]) for r in out.collect()} == {(1, 2)}
-
-    def test_oracle_equivalence(self, spark):
-        pdf = pd.DataFrame([(2, 1), (1, 2), (5, 9), (9, 5), (4, 4)],
-                           columns=["src", "dst"])
-        out = canonical_pairs(spark.createDataFrame(pdf))
-        assert_equivalent(
-            out,
-            """SELECT DISTINCT least(src, dst) AS src,
-                      greatest(src, dst) AS dst
-               FROM pairs WHERE src <> dst""",
-            pairs=pdf,
-        )
 
 
 class TestGtPairCount:

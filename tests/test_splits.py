@@ -24,18 +24,11 @@ class TestAddSplit:
         assert counts.get("val", 0) > 0 and counts.get("test", 0) > 0
 
     def test_deterministic(self, spark, companies_pdf):
-        a = add_split(spark.createDataFrame(companies_pdf), seed=1)
-        b = add_split(spark.createDataFrame(companies_pdf), seed=1)
+        a = add_split(spark.createDataFrame(companies_pdf))
+        b = add_split(spark.createDataFrame(companies_pdf))
         sa = {(r["record_id"], r["split"]) for r in a.collect()}
         sb = {(r["record_id"], r["split"]) for r in b.collect()}
         assert sa == sb
-
-    def test_seed_changes_assignment(self, spark, companies_pdf):
-        a = add_split(spark.createDataFrame(companies_pdf), seed=1)
-        b = add_split(spark.createDataFrame(companies_pdf), seed=2)
-        sa = {(r["record_id"], r["split"]) for r in a.collect()}
-        sb = {(r["record_id"], r["split"]) for r in b.collect()}
-        assert sa != sb
 
 
 class TestPositivePairs:
